@@ -31,7 +31,7 @@ weights = np.array([1.0, 0.7, 2.0])
 def total(p):
     cache = forward_cache(p, batch.inputs)
     return sum(
-        weights[k] * loss_and_grad(s.kind, cache.output(k), batch.targets[k], s.loss_scale)[0]
+        weights[k] * loss_and_grad(s.kind, cache.outputs[k], batch.targets[k], s.loss_scale)[0]
         for k, s in enumerate(specs)
     )
 
@@ -40,23 +40,18 @@ _, grads = backward(params, batch, weights)
 
 h = 1e-6
 worst = 0.0
-count = 0
-for layers, glayers in zip([params.trunk] + params.heads, [grads.trunk] + grads.heads):
-    for layer, glayer in zip(layers, glayers):
-        for arr, garr in ((layer.weight, glayer.weight), (layer.bias, glayer.bias)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = total(params)
-                arr[idx] = orig - h
-                down = total(params)
-                arr[idx] = orig
-                fd = (up - down) / (2 * h)
-                err = abs(fd - garr[idx]) / max(abs(fd), abs(garr[idx]), 1e-4)
-                worst = max(worst, err)
-                count += 1
+vector = params.vector  # every weight and bias, in the layout of `grads`
+for i in range(vector.size):
+    orig = vector[i]
+    vector[i] = orig + h
+    up = total(params)
+    vector[i] = orig - h
+    down = total(params)
+    vector[i] = orig
+    fd = (up - down) / (2 * h)
+    err = abs(fd - grads[i]) / max(abs(fd), abs(grads[i]), 1e-4)
+    worst = max(worst, err)
+count = vector.size
 
 print(f"checked {count} parameters across trunk and {len(specs)} heads")
 print(f"worst relative error vs central differences: {worst:.3e}")

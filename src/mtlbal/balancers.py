@@ -87,7 +87,11 @@ class WeightVector:
     def __post_init__(self):
         self.values = _as_float_vector(self.values, "weights")
         if not np.isfinite(self.values).all() or (self.values <= 0).any():
-            raise ValueError("weights must be finite and strictly positive")
+            task = int(np.argmax(~(np.isfinite(self.values) & (self.values > 0))))
+            raise ValueError(
+                f"weights must be finite and strictly positive; task {task} has "
+                f"{float(self.values[task])!r}"
+            )
 
     @property
     def k(self) -> int:

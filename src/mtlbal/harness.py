@@ -177,7 +177,6 @@ class RunResult:
     composite: float
     trace: Trace
     duration_s: float  # in-memory only; never written to output files
-    params: network.ModelParams | None = None
 
 
 def _make_balancer(config: ExperimentConfig):
@@ -203,7 +202,7 @@ def _generate(config: ExperimentConfig, specs) -> Dataset:
 
 
 def _train(config: ExperimentConfig, data: Dataset, params, balancer):
-    """The inner loop shared by multi-task and single-task runs."""
+    """The inner loop shared by all runs: trains `params` in place, returns the trace."""
     k = len(data.specs)
     names = tuple(s.name or f"task{i}" for i, s in enumerate(data.specs))
     trace = Trace(task_names=names)
@@ -219,31 +218,29 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
         # the float overflow that precedes it is expected, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             cache = network.forward_cache(params, batch.inputs)
-            loss_list, pred_grads = network.losses_and_pred_grads(cache, batch)
-        losses = np.array(loss_list)
+            losses = network.task_losses(params, cache, batch)
         if not np.isfinite(losses).all():
             raise NumericalAbort(t, snapshot(balancer), "per-task loss not finite")
 
         loss_vec = LossVector(losses, iteration=t)
-        grad_norms = None
-        if balancer.requires_grad_norms:
-            grad_norms = network.shared_layer_grad_norms(
-                params, batch, balancer.coefficients(k), cache
-            )
-        weights = balancer.step(loss_vec, grad_norms)
-        total = combine(weights, loss_vec)
-        if not np.isfinite(total):
-            raise NumericalAbort(t, snapshot(balancer), "weighted total not finite")
-
+        # Finite but extreme losses can still overflow a balancer's weights;
+        # every ValueError from here on aborts this run, not the process.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                _, grads = network.backward(
-                    params, batch, weights, cache, pred_grads=(loss_list, pred_grads)
-                )
+                grad_norms = None
+                if balancer.requires_grad_norms:
+                    grad_norms = network.shared_layer_grad_norms(
+                        params, batch, balancer.coefficients(k), cache
+                    )
+                weights = balancer.step(loss_vec, grad_norms)
+                total = combine(weights, loss_vec)
+                if not np.isfinite(total):
+                    raise ValueError("weighted total not finite")
+                _, grads = network.backward(params, batch, weights, cache)
                 if config.optimizer == "adam":
-                    params, moments = network.adam_step(params, grads, moments, config.lr)
+                    network.adam_step(params, grads, moments, t + 1, config.lr)
                 else:
-                    params = network.sgd_step(params, grads, config.lr)
+                    network.sgd_step(params, grads, config.lr)
         except ValueError as exc:
             raise NumericalAbort(t, snapshot(balancer), str(exc)) from exc
 
@@ -264,7 +261,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
             )
         prev2_losses = prev_losses
         prev_losses = losses
-    return params, trace
+    return trace
 
 
 def evaluate_model(params, data: Dataset):
@@ -278,7 +275,7 @@ def evaluate_model(params, data: Dataset):
     with np.errstate(over="ignore", invalid="ignore"):
         cache = network.forward_cache(params, test_x)
         for k, spec in enumerate(data.specs):
-            out = cache.output(k)
+            out = cache.outputs[k]
             target = data.targets[k][data.test_index]
             loss_k = loss_and_grad(spec.kind, out, target, spec.loss_scale)[0]
             if spec.kind == "binary-bce":
@@ -301,22 +298,24 @@ def evaluate_model(params, data: Dataset):
     return results, composite
 
 
-def run_experiment(config: ExperimentConfig) -> RunResult:
+def run_experiment(config: ExperimentConfig, data: Dataset | None = None) -> RunResult:
     """Train with the configured balancer and evaluate on the test split.
 
     Bitwise deterministic in (config, seed). Raises NumericalAbort with the
     offending iteration and a balancer snapshot if the total loss leaves the
-    finite range.
+    finite range. `data`, if given, must be the dataset this config's seed
+    generates; `compare` passes it to share one dataset across a seed's runs.
     """
     config.validate()
     started = time.perf_counter()
     specs = config.resolved_tasks()
-    data = _generate(config, specs)
+    if data is None:
+        data = _generate(config, specs)
     params = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, specs
     )
     balancer = _make_balancer(config)
-    params, trace = _train(config, data, params, balancer)
+    trace = _train(config, data, params, balancer)
     task_results, composite = evaluate_model(params, data)
     if not np.isfinite(composite):
         raise NumericalAbort(config.iterations, snapshot(balancer), "non-finite test metrics")
@@ -326,41 +325,36 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         composite=composite,
         trace=trace,
         duration_s=time.perf_counter() - started,
-        params=params,
     )
 
 
-def run_single_task(config: ExperimentConfig, task_index: int) -> RunResult:
+def run_single_task(
+    config: ExperimentConfig, task_index: int, data: Dataset | None = None
+) -> RunResult:
     """Train a clone of the architecture with only one head attached.
 
     The dataset and the full-model init come from the same seed streams as
     the multi-task run, so trunk and head k start from identical values; the
     balancer is equal-weights (a single task needs no balancing). Results
     serve as per-task reference losses for normalized-spread evaluation.
+    `data` is as in `run_experiment`.
     """
     config.validate()
     specs = config.resolved_tasks()
     if not 0 <= task_index < len(specs):
         raise ConfigError(f"task index {task_index} out of range for {len(specs)} tasks")
     started = time.perf_counter()
-    data = _generate(config, specs)
-    single = Dataset(
-        inputs=data.inputs,
-        targets=[data.targets[task_index]],
-        train_index=data.train_index,
-        test_index=data.test_index,
-        seed=data.seed,
-        specs=(specs[task_index],),
-        relatedness=data.relatedness,
-        latent_dim=data.latent_dim,
-        noise=data.noise,
+    if data is None:
+        data = _generate(config, specs)
+    single = dataclasses.replace(
+        data, targets=[data.targets[task_index]], specs=(specs[task_index],)
     )
     full = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, specs
     )
-    params = network.ModelParams(trunk=full.trunk, heads=[full.heads[task_index]])
+    params = full.select([task_index])
     balancer = make_balancer("baseline")
-    params, trace = _train(config, single, params, balancer)
+    trace = _train(config, single, params, balancer)
     task_results, composite = evaluate_model(params, single)
     if not np.isfinite(composite) or not np.isfinite(task_results[0].test_loss):
         raise NumericalAbort(config.iterations, snapshot(balancer), "non-finite test metrics")
@@ -370,7 +364,6 @@ def run_single_task(config: ExperimentConfig, task_index: int) -> RunResult:
         composite=composite,
         trace=trace,
         duration_s=time.perf_counter() - started,
-        params=params,
     )
 
 
@@ -487,6 +480,32 @@ def _dominant_index(specs) -> int | None:
     return holders[0] if len(holders) == 1 else None
 
 
+def _record(config: ExperimentConfig, data: Dataset, reference, dominant) -> RunRecord:
+    """One comparison cell: run, then normalize by the references if any."""
+    try:
+        result = run_experiment(config, data)
+    except NumericalAbort as exc:
+        return RunRecord(method=config.label, seed=config.seed, status="failed", error=str(exc))
+    losses = np.array([t.test_loss for t in result.task_results])
+    record = RunRecord(
+        method=config.label,
+        seed=config.seed,
+        status="ok",
+        composite=result.composite,
+        task_metrics=[t.metric for t in result.task_results],
+        test_losses=losses.tolist(),
+        spikiness=coefficient_spikiness(result.trace),
+    )
+    if reference is not None:
+        norm = losses / reference
+        record.norm_spread = float(norm.max() / max(norm.min(), EPS_FLOOR))
+        others = np.delete(norm, dominant) if dominant is not None else norm
+        if others.size == 0:  # single-task comparison has no "others"
+            others = norm
+        record.dominated_norm_loss = float(others.max())
+    return record
+
+
 def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
     """Run every (config, seed) pair and tabulate per-method statistics.
 
@@ -518,49 +537,29 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
     task_names = tuple(s.name or f"task{i}" for i, s in enumerate(specs))
     dominant = _dominant_index(specs)
 
+    # Seed-major: each seed's dataset is generated once, shared by that
+    # seed's references and methods, and dropped before the next seed's.
     # Reference runs follow the same failed-run policy: a seed whose
     # single-task references abort simply has no spread statistics.
-    references: dict[int, np.ndarray | None] = {}
-    if normalized_spread:
-        for seed in seeds:
-            ref_cfg = dataclasses.replace(base, seed=seed)
+    cells = {}
+    for seed in seeds:
+        seed_cfg = dataclasses.replace(base, seed=seed)
+        data = _generate(seed_cfg, specs)
+        reference = None
+        if normalized_spread:
             try:
                 refs = [
-                    run_single_task(ref_cfg, k).task_results[0].test_loss
+                    run_single_task(seed_cfg, k, data).task_results[0].test_loss
                     for k in range(len(specs))
                 ]
+                reference = np.maximum(np.array(refs), EPS_FLOOR)
             except NumericalAbort:
-                references[seed] = None
-                continue
-            references[seed] = np.maximum(np.array(refs), EPS_FLOOR)
-
-    rows = []
-    for cfg, label in zip(configs, labels):
-        for seed in seeds:
+                pass
+        for cfg, label in zip(configs, labels):
             run_cfg = dataclasses.replace(cfg, seed=seed)
-            try:
-                result = run_experiment(run_cfg)
-            except NumericalAbort as exc:
-                rows.append(RunRecord(method=label, seed=seed, status="failed", error=str(exc)))
-                continue
-            losses = np.array([t.test_loss for t in result.task_results])
-            record = RunRecord(
-                method=label,
-                seed=seed,
-                status="ok",
-                composite=result.composite,
-                task_metrics=[t.metric for t in result.task_results],
-                test_losses=losses.tolist(),
-                spikiness=coefficient_spikiness(result.trace),
-            )
-            if normalized_spread and references[seed] is not None:
-                norm = losses / references[seed]
-                record.norm_spread = float(norm.max() / max(norm.min(), EPS_FLOOR))
-                others = np.delete(norm, dominant) if dominant is not None else norm
-                if others.size == 0:  # single-task comparison has no "others"
-                    others = norm
-                record.dominated_norm_loss = float(others.max())
-            rows.append(record)
+            cells[label, seed] = _record(run_cfg, data, reference, dominant)
+        del data
+    rows = [cells[label, seed] for label in labels for seed in seeds]
 
     summaries = []
     wins = {label: 0 for label in labels}

@@ -1,17 +1,26 @@
 """Hard-parameter-sharing MLP: a shared dense trunk feeding K task heads.
 
-Forward/backward are written out explicitly in numpy (float64 throughout),
-with gradients that are exact derivatives of the weighted total
-sum_k weight(k) * loss(k), the weights held constant. The backward pass also
-records each task's gradient contribution at the LAST trunk layer, which is
-the designated parameter subset for gradient-norm balancing.
+Every weight and bias lives in one float64 vector; layers are named views
+into it, and gradients and Adam moments are vectors of the same layout.
+Heads with identical layer shapes and activations form a group whose
+layers are stacked on a leading axis, so one batched matmul runs a whole
+group (celeb-mini's eight heads are one group; va-mini has {CE} and
+{MSE, MSE}).
 
-Parameters are single-owner during training; reductions happen in a fixed
-order, so a fixed seed gives a bitwise-identical trajectory.
+Forward/backward are written out explicitly in numpy, with gradients that
+are exact derivatives of the weighted total sum_k weight(k) * loss(k), the
+weights held constant. Each step runs the heads backward once at unit task
+weight; the per-task pieces at the LAST trunk layer (the designated
+parameter subset for gradient-norm balancing) feed both the grad-norm probe
+and the weighted trunk backward, and the weights multiply afterwards.
+
+Parameters are single-owner during training; reductions over tasks run in
+task order, so a fixed seed gives a bitwise-identical trajectory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +28,7 @@ import numpy as np
 from .rng import SplitMix64, derive
 from .tasks import Batch, loss_and_grad
 
-ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
+ACTIVATIONS = ("linear", "relu", "sigmoid", "softmax")
 
 #: Output activation used for each task kind.
 OUTPUT_ACTIVATION = {
@@ -38,17 +47,12 @@ def activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    if kind == "tanh":
-        return np.tanh(z)
+        # exp(-|z|) cannot overflow: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if kind == "softmax":
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -60,87 +64,114 @@ def _backprop_activation(upstream: np.ndarray, z: np.ndarray, a: np.ndarray, kin
         return np.where(z > 0, upstream, 0.0)
     if kind == "sigmoid":
         return upstream * a * (1.0 - a)
-    if kind == "tanh":
-        return upstream * (1.0 - a * a)
     if kind == "softmax":
-        dot = np.sum(upstream * a, axis=1, keepdims=True)
+        dot = np.sum(upstream * a, axis=-1, keepdims=True)
         return a * (upstream - dot)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-@dataclass
-class DenseLayer:
-    """One affine layer: (fan_in, fan_out) weights, bias, activation tag."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-    activation: str
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
-            raise ValueError(
-                f"layer shapes inconsistent: weight {self.weight.shape}, bias {self.bias.shape}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def fan_in(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def fan_out(self) -> int:
-        return self.weight.shape[1]
-
-
-@dataclass
 class ModelParams:
-    """One shared trunk (list of layers) and K per-task head layer lists."""
+    """One shared trunk and K task heads over one flat float64 vector.
 
-    trunk: list
-    heads: list
+    `trunk` is a sequence of (fan_in, fan_out, activation) layers and
+    `heads` holds one such sequence per task. Tasks whose head layers are
+    equal form a group, in order of first appearance. The vector holds the
+    trunk layers, then each group's layers, each layer as weight then bias.
+    Views: `trunk[i]` is a (weight, bias) pair of shapes (fan_in, fan_out)
+    and (fan_out,); `groups[g][i]` is a stacked pair of shapes
+    (n, fan_in, fan_out) and (n, fan_out) for the group's n tasks, listed
+    in `group_tasks[g]`; `head(k)` gives task k's slice of those.
+    """
 
-    def __post_init__(self):
-        if not self.trunk:
+    def __init__(self, trunk, heads, vector: np.ndarray | None = None):
+        self.trunk_layers = tuple((int(i), int(o), str(a)) for i, o, a in trunk)
+        self.head_layers = tuple(tuple((int(i), int(o), str(a)) for i, o, a in h) for h in heads)
+        if not self.trunk_layers:
             raise ValueError("trunk must have at least one layer")
-        if not self.heads or not all(self.heads):
+        if not self.head_layers or not all(self.head_layers):
             raise ValueError("need at least one head, each with at least one layer")
-        chains = [self.trunk] + [[self.trunk[-1]] + head for head in self.heads]
+        chains = [self.trunk_layers] + [self.trunk_layers[-1:] + h for h in self.head_layers]
         for chain in chains:
+            for fan_in, fan_out, act in chain:
+                if fan_in < 1 or fan_out < 1:
+                    raise ValueError(f"layer sizes must be positive, got {fan_in}x{fan_out}")
+                if act not in ACTIVATIONS:
+                    raise ValueError(f"unknown activation {act!r}")
             for prev, nxt in zip(chain, chain[1:]):
-                if prev.fan_out != nxt.fan_in:
-                    raise ValueError(
-                        f"layer dimension mismatch: {prev.fan_out} feeds {nxt.fan_in}"
-                    )
+                if prev[1] != nxt[0]:
+                    raise ValueError(f"layer dimension mismatch: {prev[1]} feeds {nxt[0]}")
+
+        members: dict = {}
+        for k, layers in enumerate(self.head_layers):
+            members.setdefault(layers, []).append(k)
+        self.group_tasks = tuple(tuple(ts) for ts in members.values())
+        self.slots = [None] * self.n_tasks  # task -> (group, position in group)
+        for g, tasks in enumerate(self.group_tasks):
+            for i, k in enumerate(tasks):
+                self.slots[k] = (g, i)
+
+        shapes = [s for i, o, _ in self.trunk_layers for s in ((i, o), (o,))]
+        for tasks in self.group_tasks:
+            n = len(tasks)
+            shapes += [s for i, o, _ in self.head_layers[tasks[0]] for s in ((n, i, o), (n, o))]
+        size = sum(math.prod(shape) for shape in shapes)
+        if vector is None:
+            vector = np.zeros(size)
+        elif vector.shape != (size,) or vector.dtype != np.float64:
+            raise ValueError(f"parameter vector must be float64 of shape ({size},)")
+        self.vector = vector
+        views, offset = [], 0
+        for shape in shapes:
+            views.append(vector[offset : offset + math.prod(shape)].reshape(shape))
+            offset += math.prod(shape)
+        pairs = list(zip(views[::2], views[1::2]))
+        depth = len(self.trunk_layers)
+        self.trunk, self.groups = pairs[:depth], []
+        for tasks in self.group_tasks:
+            n_layers = len(self.head_layers[tasks[0]])
+            self.groups.append(pairs[depth : depth + n_layers])
+            depth += n_layers
 
     @property
     def n_tasks(self) -> int:
-        return len(self.heads)
+        return len(self.head_layers)
 
     @property
     def input_dim(self) -> int:
-        return self.trunk[0].fan_in
+        return self.trunk_layers[0][0]
 
     def n_parameters(self) -> int:
-        layers = list(self.trunk) + [l for head in self.heads for l in head]
-        return sum(l.weight.size + l.bias.size for l in layers)
+        return self.vector.size
 
+    def like(self, vector: np.ndarray) -> "ModelParams":
+        """The same layout over another vector, such as a gradient."""
+        return ModelParams(self.trunk_layers, self.head_layers, vector)
 
-@dataclass
-class LayerGrads:
-    weight: np.ndarray
-    bias: np.ndarray
+    def head(self, task: int) -> list:
+        """Task `task`'s (weight, bias) views, one pair per head layer."""
+        g, i = self.slots[task]
+        return [(w[i], b[i]) for w, b in self.groups[g]]
 
+    def select(self, tasks) -> "ModelParams":
+        """A copy with the same trunk and only the listed tasks' heads."""
+        tasks = list(tasks)
+        out = ModelParams(self.trunk_layers, [self.head_layers[k] for k in tasks])
+        for (w, b), (src_w, src_b) in zip(out.trunk, self.trunk):
+            w[...], b[...] = src_w, src_b
+        for new_k, k in enumerate(tasks):
+            for (w, b), (src_w, src_b) in zip(out.head(new_k), self.head(k)):
+                w[...], b[...] = src_w, src_b
+        return out
 
-@dataclass
-class Gradients:
-    """Shape-congruent gradients, plus per-task last-trunk-layer contributions."""
-
-    trunk: list
-    heads: list
-    last_trunk_per_task: list  # K LayerGrads, each already scaled by its weight
+    def named_views(self):
+        """(name, weight-or-bias view) for every trunk and per-task head array."""
+        for i, (w, b) in enumerate(self.trunk):
+            yield f"trunk[{i}].weight", w
+            yield f"trunk[{i}].bias", b
+        for k in range(self.n_tasks):
+            for i, (w, b) in enumerate(self.head(k)):
+                yield f"head[{k}][{i}].weight", w
+                yield f"head[{k}][{i}].bias", b
 
 
 def init_params(seed: int, input_dim: int, trunk_sizes, head_hidden, specs) -> ModelParams:
@@ -151,44 +182,47 @@ def init_params(seed: int, input_dim: int, trunk_sizes, head_hidden, specs) -> M
     hidden layers are relu; each head ends in a task-kind output layer.
     """
     stream = SplitMix64(derive(seed, INIT_STREAM_TAG))
-
-    def dense(fan_in: int, fan_out: int, activation: str) -> DenseLayer:
-        w = stream.normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-        return DenseLayer(w, np.zeros(fan_out), activation)
-
-    trunk = []
-    width = input_dim
+    trunk, width = [], input_dim
     for size in trunk_sizes:
-        trunk.append(dense(width, size, "relu"))
+        trunk.append((width, size, "relu"))
         width = size
     heads = []
     for spec in specs:
-        head = []
-        h_width = width
+        head, h_width = [], width
         for size in head_hidden:
-            head.append(dense(h_width, size, "relu"))
+            head.append((h_width, size, "relu"))
             h_width = size
-        head.append(dense(h_width, spec.output_dim, OUTPUT_ACTIVATION[spec.kind]))
+        head.append((h_width, spec.output_dim, OUTPUT_ACTIVATION[spec.kind]))
         heads.append(head)
-    return ModelParams(trunk=trunk, heads=heads)
+    params = ModelParams(trunk, heads)
+    for w, _ in params.trunk + [pair for k in range(params.n_tasks) for pair in params.head(k)]:
+        w[...] = stream.normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+    return params
 
 
 @dataclass
 class ForwardCache:
-    """Every pre-activation and activation from one forward pass."""
+    """One forward pass, plus the loss and head-backward results derived from
+    it on first use.
+
+    `group_z`/`group_a` hold, per head group, each layer's stacked
+    pre-activations and activations of shape (n, batch, fan_out);
+    `outputs[k]` is task k's prediction.
+    """
 
     inputs: np.ndarray
     trunk_z: list
     trunk_a: list
-    head_z: list  # per task: list of z per layer
-    head_a: list
+    group_z: list
+    group_a: list
+    outputs: list
+    losses: np.ndarray | None = None
+    pred_grads: list | None = None  # per group: stacked d loss / d prediction
+    unit: _UnitPass | None = None
 
     @property
     def shared(self) -> np.ndarray:
         return self.trunk_a[-1]
-
-    def output(self, task: int) -> np.ndarray:
-        return self.head_a[task][-1]
 
 
 def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
@@ -197,142 +231,125 @@ def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
         raise ValueError(f"inputs {x.shape} do not match input_dim {params.input_dim}")
     trunk_z, trunk_a = [], []
     a = x
-    for layer in params.trunk:
-        z = a @ layer.weight + layer.bias
-        a = activate(z, layer.activation)
+    for (w, b), (_, _, act) in zip(params.trunk, params.trunk_layers):
+        z = a @ w + b
+        a = activate(z, act)
         trunk_z.append(z)
         trunk_a.append(a)
-    head_z, head_a = [], []
-    for head in params.heads:
+    group_z, group_a = [], []
+    for tasks, layers in zip(params.group_tasks, params.groups):
         zs, as_ = [], []
         h = a
-        for layer in head:
-            z = h @ layer.weight + layer.bias
-            h = activate(z, layer.activation)
+        for (w, b), (_, _, act) in zip(layers, params.head_layers[tasks[0]]):
+            z = np.matmul(h, w) + b[:, None, :]
+            h = activate(z, act)
             zs.append(z)
             as_.append(h)
-        head_z.append(zs)
-        head_a.append(as_)
-    return ForwardCache(inputs=x, trunk_z=trunk_z, trunk_a=trunk_a, head_z=head_z, head_a=head_a)
+        group_z.append(zs)
+        group_a.append(as_)
+    outputs = [group_a[g][-1][i] for g, i in params.slots]
+    return ForwardCache(x, trunk_z, trunk_a, group_z, group_a, outputs)
 
 
-def forward(params: ModelParams, inputs: np.ndarray):
-    """Shared trunk representation and the K task outputs."""
-    cache = forward_cache(params, inputs)
-    return cache.shared, [cache.output(k) for k in range(params.n_tasks)]
+def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.ndarray:
+    """Raw (unweighted) per-task losses; also keeps d loss / d prediction."""
+    if cache.losses is None:
+        losses, grads = [], []
+        for k, spec in enumerate(batch.specs):
+            loss_k, g = loss_and_grad(spec.kind, cache.outputs[k], batch.targets[k], spec.loss_scale)
+            losses.append(loss_k)
+            grads.append(g)
+        cache.losses = np.array(losses)
+        cache.pred_grads = [np.stack([grads[k] for k in tasks]) for tasks in params.group_tasks]
+    return cache.losses
 
 
-def compute_losses(cache: ForwardCache, batch: Batch) -> list:
-    """Raw (unweighted) per-task losses from a forward cache."""
-    return [
-        loss_and_grad(spec.kind, cache.output(k), batch.targets[k], spec.loss_scale)[0]
-        for k, spec in enumerate(batch.specs)
-    ]
+@dataclass
+class _UnitPass:
+    """Heads run backward at unit task weight: `heads[g][i]` is group g's
+    layer-i (weight, bias) gradient, `deltas[k]` task k's gradient at the
+    last trunk layer's pre-activation."""
+
+    heads: list
+    deltas: np.ndarray
 
 
-def losses_and_pred_grads(cache: ForwardCache, batch: Batch):
-    """Per-task (loss, d loss / d prediction) pairs from one forward cache."""
-    losses, grads = [], []
-    for k, spec in enumerate(batch.specs):
-        loss_k, g = loss_and_grad(spec.kind, cache.output(k), batch.targets[k], spec.loss_scale)
-        losses.append(loss_k)
-        grads.append(g)
-    return losses, grads
+def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> _UnitPass:
+    if cache.unit is not None:
+        return cache.unit
+    task_losses(params, cache, batch)
+    heads = []
+    at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
+    for g, tasks in enumerate(params.group_tasks):
+        layers = params.groups[g]
+        grads = [None] * len(layers)
+        up = cache.pred_grads[g]
+        for i in range(len(layers) - 1, -1, -1):
+            act = params.head_layers[tasks[0]][i][2]
+            delta = _backprop_activation(up, cache.group_z[g][i], cache.group_a[g][i], act)
+            below = cache.group_a[g][i - 1] if i > 0 else cache.shared
+            grads[i] = (np.matmul(below.swapaxes(-1, -2), delta), delta.sum(axis=-2))
+            up = np.matmul(delta, layers[i][0].swapaxes(-1, -2))
+        at_shared[list(tasks)] = up
+        heads.append(grads)
+    act = params.trunk_layers[-1][2]
+    deltas = _backprop_activation(at_shared, cache.trunk_z[-1], cache.trunk_a[-1], act)
+    cache.unit = _UnitPass(heads, deltas)
+    return cache.unit
 
 
-def _check_grad_finite(arr: np.ndarray, where: str) -> None:
-    # Sum-based probe: NaN anywhere poisons the sum; avoids a bool temp.
-    s = float(arr.sum())
-    if s != s:
-        raise ValueError(f"NaN gradient in {where}")
+def _trunk_input(cache: ForwardCache, layer: int) -> np.ndarray:
+    return cache.trunk_a[layer - 1] if layer > 0 else cache.inputs
 
 
-def _head_backward(params: ModelParams, cache: ForwardCache, task: int, upstream: np.ndarray):
-    """Backprop one head; returns (per-layer LayerGrads, gradient at head input)."""
-    head = params.heads[task]
-    grads = [None] * len(head)
-    g = upstream
-    for i in range(len(head) - 1, -1, -1):
-        layer = head[i]
-        z = cache.head_z[task][i]
-        a = cache.head_a[task][i]
-        delta = _backprop_activation(g, z, a, layer.activation)
-        below = cache.head_a[task][i - 1] if i > 0 else cache.shared
-        gw = below.T @ delta
-        gb = delta.sum(axis=0)
-        _check_grad_finite(gw, f"head[{task}][{i}].weight")
-        _check_grad_finite(gb, f"head[{task}][{i}].bias")
-        grads[i] = LayerGrads(gw, gb)
-        g = delta @ layer.weight.T
-    return grads, g
-
-
-def backward(
-    params: ModelParams,
-    batch: Batch,
-    weights,
-    cache: ForwardCache | None = None,
-    pred_grads=None,
-):
-    """Per-task raw losses and exact gradients of the weighted total.
-
-    Losses are returned UNWEIGHTED (balancers consume raw magnitudes); the
-    gradients differentiate sum_k weight(k) * loss(k) with the weights as
-    constants. Trunk gradients are the sum of per-task contributions; the
-    last trunk layer's per-task pieces are kept separately in the result.
-    `pred_grads` may carry (losses, d/d prediction) pairs precomputed from
-    the same cache via `losses_and_pred_grads`.
-    """
+def _weight_vector(params: ModelParams, weights) -> np.ndarray:
     w = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
     if w.shape != (params.n_tasks,):
         raise ValueError(f"need {params.n_tasks} weights, got shape {w.shape}")
+    return w
+
+
+def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | None = None):
+    """Per-task raw losses and the exact gradient vector of the weighted total.
+
+    Losses are returned UNWEIGHTED (balancers consume raw magnitudes); the
+    gradient differentiates sum_k weight(k) * loss(k) with the weights as
+    constants, in the layout of `params.vector`. Pass the step's `cache` to
+    reuse its head pass. Raises ValueError naming an array if a gradient
+    is NaN.
+    """
+    w = _weight_vector(params, weights)
     if cache is None:
         cache = forward_cache(params, batch.inputs)
-    if pred_grads is None:
-        pred_grads = losses_and_pred_grads(cache, batch)
-    losses, dpreds = pred_grads
-
-    head_grads = []
-    shared_deltas = []
-    for k in range(params.n_tasks):
-        grads_k, at_input = _head_backward(params, cache, k, w[k] * dpreds[k])
-        head_grads.append(grads_k)
-        shared_deltas.append(at_input)
-
-    # Last trunk layer: keep per-task contributions before summing.
-    last = params.trunk[-1]
-    z_last = cache.trunk_z[-1]
-    a_last = cache.trunk_a[-1]
-    below = cache.trunk_a[-2] if len(params.trunk) > 1 else cache.inputs
-    per_task = []
-    delta_sum = None
-    for k, g in enumerate(shared_deltas):
-        delta = _backprop_activation(g, z_last, a_last, last.activation)
-        gw = below.T @ delta
-        gb = delta.sum(axis=0)
-        _check_grad_finite(gw, f"trunk[{len(params.trunk) - 1}].weight (task {k})")
-        _check_grad_finite(gb, f"trunk[{len(params.trunk) - 1}].bias (task {k})")
-        per_task.append(LayerGrads(gw, gb))
-        delta_sum = delta if delta_sum is None else delta_sum + delta
-    trunk_grads = [None] * len(params.trunk)
-    trunk_grads[-1] = LayerGrads(
-        sum(p.weight for p in per_task), sum(p.bias for p in per_task)
+    unit = _unit_pass(params, cache, batch)
+    # Per-task products are summed over tasks in task order, as running each
+    # head alone would; at weight 1.0 the result is the same bit for bit.
+    deltas = w[:, None, None] * unit.deltas
+    last = len(params.trunk) - 1
+    trunk = [None] * (last + 1)
+    trunk[last] = (
+        np.matmul(_trunk_input(cache, last).T, deltas).sum(axis=0),
+        deltas.sum(axis=1).sum(axis=0),
     )
-
-    g = delta_sum @ last.weight.T
-    for i in range(len(params.trunk) - 2, -1, -1):
-        layer = params.trunk[i]
-        delta = _backprop_activation(g, cache.trunk_z[i], cache.trunk_a[i], layer.activation)
-        below = cache.trunk_a[i - 1] if i > 0 else cache.inputs
-        gw = below.T @ delta
-        gb = delta.sum(axis=0)
-        _check_grad_finite(gw, f"trunk[{i}].weight")
-        _check_grad_finite(gb, f"trunk[{i}].bias")
-        trunk_grads[i] = LayerGrads(gw, gb)
-        g = delta @ layer.weight.T
-
-    grads = Gradients(trunk=trunk_grads, heads=head_grads, last_trunk_per_task=per_task)
-    return list(losses), grads
+    delta = deltas.sum(axis=0)
+    for i in range(last - 1, -1, -1):
+        up = delta @ params.trunk[i + 1][0].T
+        delta = _backprop_activation(up, cache.trunk_z[i], cache.trunk_a[i], params.trunk_layers[i][2])
+        trunk[i] = (_trunk_input(cache, i).T @ delta, delta.sum(axis=0))
+    pieces = [a for pair in trunk for a in pair]
+    for tasks, layers in zip(params.group_tasks, unit.heads):
+        w_g = w[list(tasks)]
+        pieces += [a for gw, gb in layers for a in (w_g[:, None, None] * gw, w_g[:, None] * gb)]
+    grads = np.concatenate([a.ravel() for a in pieces])
+    # Sum-based probe: NaN anywhere poisons the sum; name the array only then.
+    s = float(grads.sum())
+    if s != s:
+        where = next(
+            (name for name, v in params.like(grads).named_views() if np.isnan(v.sum())),
+            "gradient vector",
+        )
+        raise ValueError(f"NaN gradient in {where}")
+    return list(cache.losses), grads
 
 
 def shared_layer_grad_norms(
@@ -341,116 +358,54 @@ def shared_layer_grad_norms(
     """L2 norm of each task's weighted gradient at the last trunk layer.
 
     Norms cover the layer's weight matrix only (the designated parameter
-    subset); each equals ||d(weight(k) * loss(k)) / d W_last||_2 and scales
-    linearly in weight(k).
+    subset); each equals ||d(weight(k) * loss(k)) / d W_last||_2, computed as
+    weight(k) times the unit-weight norm from the step's shared head pass.
     """
-    w = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
-    if w.shape != (params.n_tasks,):
-        raise ValueError(f"need {params.n_tasks} weights, got shape {w.shape}")
+    w = _weight_vector(params, weights)
     if cache is None:
         cache = forward_cache(params, batch.inputs)
-    last = params.trunk[-1]
-    z_last = cache.trunk_z[-1]
-    a_last = cache.trunk_a[-1]
-    below = cache.trunk_a[-2] if len(params.trunk) > 1 else cache.inputs
-    norms = np.empty(params.n_tasks)
-    for k, spec in enumerate(batch.specs):
-        _, dpred = loss_and_grad(spec.kind, cache.output(k), batch.targets[k], spec.loss_scale)
-        _, at_input = _head_backward(params, cache, k, w[k] * dpred)
-        delta = _backprop_activation(at_input, z_last, a_last, last.activation)
-        norms[k] = np.linalg.norm(below.T @ delta)
-    return norms
+    deltas = _unit_pass(params, cache, batch).deltas
+    per_task = np.matmul(_trunk_input(cache, len(params.trunk) - 1).T, deltas)
+    return w * np.linalg.norm(per_task, axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
-# Optimizers.
+# Optimizers: in-place updates of the parameter vector.
 # ---------------------------------------------------------------------------
 
 
-def _layer_lists(params: ModelParams):
-    return [params.trunk] + params.heads
+def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> None:
+    """Plain gradient descent."""
+    params.vector -= lr * grads
 
 
-def _grad_lists(grads: Gradients):
-    return [grads.trunk] + grads.heads
-
-
-def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
-    """Plain gradient descent; returns updated parameters."""
-    new_lists = []
-    for layers, glayers in zip(_layer_lists(params), _grad_lists(grads)):
-        new_lists.append(
-            [
-                DenseLayer(l.weight - lr * g.weight, l.bias - lr * g.bias, l.activation)
-                for l, g in zip(layers, glayers)
-            ]
-        )
-    return ModelParams(trunk=new_lists[0], heads=new_lists[1:])
-
-
-@dataclass
-class AdamMoments:
-    """First/second moment estimates, shape-parallel to the parameters."""
-
-    m: list  # nested like [trunk] + heads, each a list of LayerGrads
-    v: list
-    t: int = 0
-
-
-def init_moments(params: ModelParams) -> AdamMoments:
-    def zeros_like_layers(lists):
-        return [
-            [LayerGrads(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in layers]
-            for layers in lists
-        ]
-
-    lists = _layer_lists(params)
-    return AdamMoments(m=zeros_like_layers(lists), v=zeros_like_layers(lists), t=0)
+def init_moments(params: ModelParams) -> np.ndarray:
+    """Adam's first and second moments, rows 0 and 1, in the parameter layout."""
+    return np.zeros((2, params.vector.size))
 
 
 def adam_step(
     params: ModelParams,
-    grads: Gradients,
-    moments: AdamMoments,
+    grads: np.ndarray,
+    moments: np.ndarray,
+    t: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-):
-    """Bias-corrected Adam update; returns (params, moments) with t advanced.
-
-    The moment buffers are updated in place (the returned AdamMoments is the
-    advanced view of the same arrays); parameters get fresh arrays.
-    """
-    t = moments.t + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-
-    def advance(m: np.ndarray, v: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        return p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-    new_lists = []
-    for layers, glayers, ms, vs in zip(
-        _layer_lists(params), _grad_lists(grads), moments.m, moments.v
-    ):
-        new_lists.append(
-            [
-                DenseLayer(
-                    advance(m.weight, v.weight, g.weight, l.weight),
-                    advance(m.bias, v.bias, g.bias, l.bias),
-                    l.activation,
-                )
-                for l, g, m, v in zip(layers, glayers, ms, vs)
-            ]
-        )
-    return (
-        ModelParams(trunk=new_lists[0], heads=new_lists[1:]),
-        AdamMoments(m=moments.m, v=moments.v, t=t),
-    )
+) -> None:
+    """Bias-corrected Adam update for step `t` (counted from 1), in place."""
+    m, v = moments
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * np.square(grads)
+    denom = np.sqrt(v / (1.0 - beta2**t))
+    denom += eps
+    update = m / (1.0 - beta1**t)
+    update *= lr
+    update /= denom
+    params.vector -= update
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +422,21 @@ def _fmt(x: float) -> str:
 def params_to_text(params: ModelParams) -> str:
     lines = [_CHECKPOINT_HEADER, f"heads = {params.n_tasks}"]
 
-    def emit(prefix: str, layers):
-        lines.append(f"{prefix}.layers = {len(layers)}")
-        for i, l in enumerate(layers):
-            lines.append(f"{prefix}{i} = {l.activation} {l.fan_in} {l.fan_out}")
-            lines.append(f"{prefix}{i}.weight = " + ",".join(_fmt(v) for v in l.weight.ravel()))
-            lines.append(f"{prefix}{i}.bias = " + ",".join(_fmt(v) for v in l.bias))
+    def emit(prefix: str, specs, views):
+        lines.append(f"{prefix}.layers = {len(specs)}")
+        for i, ((fan_in, fan_out, act), (w, b)) in enumerate(zip(specs, views)):
+            lines.append(f"{prefix}{i} = {act} {fan_in} {fan_out}")
+            lines.append(f"{prefix}{i}.weight = " + ",".join(_fmt(v) for v in w.ravel()))
+            lines.append(f"{prefix}{i}.bias = " + ",".join(_fmt(v) for v in b))
 
-    emit("trunk", params.trunk)
-    for k, head in enumerate(params.heads):
-        emit(f"head{k}.", head)
+    emit("trunk", params.trunk_layers, params.trunk)
+    for k in range(params.n_tasks):
+        emit(f"head{k}.", params.head_layers[k], params.head(k))
     return "\n".join(lines) + "\n"
 
 
 def params_from_text(text: str) -> ModelParams:
+    """Inverse of `params_to_text`; any malformed input raises ValueError."""
     lines = text.splitlines()
     if not lines or lines[0] != _CHECKPOINT_HEADER:
         raise ValueError("not a model checkpoint (missing header)")
@@ -488,23 +444,49 @@ def params_from_text(text: str) -> ModelParams:
     for ln in lines[1:]:
         if not ln:
             continue
-        if " = " not in ln:
+        key, sep, value = ln.partition(" = ")
+        if not sep:
             raise ValueError(f"malformed checkpoint line: {ln!r}")
-        key, value = ln.split(" = ", 1)
+        if key in fields:
+            raise ValueError(f"duplicate checkpoint key {key!r}")
         fields[key] = value
+    unread = set(fields)
+
+    def get(key: str) -> str:
+        if key not in fields:
+            raise ValueError(f"checkpoint is missing key {key!r}")
+        unread.discard(key)
+        return fields[key]
+
+    def floats(key: str, count: int) -> list:
+        values = [float(v) for v in get(key).split(",")]
+        if len(values) != count:
+            raise ValueError(f"{key!r} has {len(values)} values, expected {count}")
+        return values
 
     def read(prefix: str):
-        layers = []
-        for i in range(int(fields[f"{prefix}.layers"])):
-            activation, fan_in, fan_out = fields[f"{prefix}{i}"].split()
-            shape = (int(fan_in), int(fan_out))
-            w = np.array(
-                [float(v) for v in fields[f"{prefix}{i}.weight"].split(",")]
-            ).reshape(shape)
-            b = np.array([float(v) for v in fields[f"{prefix}{i}.bias"].split(",")])
-            layers.append(DenseLayer(w, b, activation))
-        return layers
+        specs, values = [], []
+        for i in range(int(get(f"{prefix}.layers"))):
+            parts = get(f"{prefix}{i}").split()
+            if len(parts) != 3:
+                raise ValueError(f"malformed layer line for {prefix}{i}: {parts}")
+            fan_in, fan_out = int(parts[1]), int(parts[2])
+            specs.append((fan_in, fan_out, parts[0]))
+            values.append(floats(f"{prefix}{i}.weight", fan_in * fan_out))
+            values.append(floats(f"{prefix}{i}.bias", fan_out))
+        return specs, values
 
-    trunk = read("trunk")
-    heads = [read(f"head{k}.") for k in range(int(fields["heads"]))]
-    return ModelParams(trunk=trunk, heads=heads)
+    trunk, values = read("trunk")
+    heads = []
+    for k in range(int(get("heads"))):
+        specs, head_values = read(f"head{k}.")
+        heads.append(specs)
+        values += head_values
+    if unread:
+        raise ValueError(f"unknown checkpoint keys {sorted(unread)}")
+    params = ModelParams(trunk, heads)
+    arrays = [a for w, b in params.trunk for a in (w, b)]
+    arrays += [a for k in range(params.n_tasks) for w, b in params.head(k) for a in (w, b)]
+    for arr, vals in zip(arrays, values):
+        arr[...] = np.reshape(vals, arr.shape)
+    return params

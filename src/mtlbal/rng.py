@@ -81,9 +81,10 @@ class SplitMix64:
         return int(out[0]) if count is None else out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+        """Fisher-Yates permutation of range(n); its n-1 draws come in one call."""
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 down to 1
+        js = (self.next_raw(bounds.size) % bounds).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

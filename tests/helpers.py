@@ -44,51 +44,32 @@ def weighted_total(params, batch, weights):
     for k, spec in enumerate(batch.specs):
         total += (
             weights[k]
-            * loss_and_grad(spec.kind, cache.output(k), batch.targets[k], spec.loss_scale)[0]
+            * loss_and_grad(spec.kind, cache.outputs[k], batch.targets[k], spec.loss_scale)[0]
         )
     return total
-
-
-def flatten_params(params):
-    arrays = []
-    for layers in [params.trunk] + params.heads:
-        for l in layers:
-            arrays.append(l.weight)
-            arrays.append(l.bias)
-    return arrays
-
-
-def flatten_grads(grads):
-    arrays = []
-    for layers in [grads.trunk] + grads.heads:
-        for g in layers:
-            arrays.append(g.weight)
-            arrays.append(g.bias)
-    return arrays
 
 
 def has_relu_kink(params, batch, margin=1e-4):
     """True when any hidden pre-activation sits close enough to the relu kink
     that a finite-difference probe would cross it."""
     cache = forward_cache(params, batch.inputs)
-    zs = list(cache.trunk_z) + [z for zs_ in cache.head_z for z in zs_[:-1]]
+    zs = list(cache.trunk_z) + [z for zs_ in cache.group_z for z in zs_[:-1]]
     return any(np.any(np.abs(z) < margin) for z in zs)
 
 
 def max_fd_error(params, batch, weights, grads, h=1e-6):
-    """Worst per-entry relative error of grads against central differences."""
+    """Worst per-entry relative error of the gradient vector against central
+    differences, perturbing the parameter vector in place."""
     worst = 0.0
-    for arr, garr in zip(flatten_params(params), flatten_grads(grads)):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + h
-            up = weighted_total(params, batch, weights)
-            arr[idx] = orig - h
-            down = weighted_total(params, batch, weights)
-            arr[idx] = orig
-            fd = (up - down) / (2 * h)
-            err = abs(fd - garr[idx]) / max(abs(fd), abs(garr[idx]), 1e-4)
-            worst = max(worst, err)
+    vector = params.vector
+    for i in range(vector.size):
+        orig = vector[i]
+        vector[i] = orig + h
+        up = weighted_total(params, batch, weights)
+        vector[i] = orig - h
+        down = weighted_total(params, batch, weights)
+        vector[i] = orig
+        fd = (up - down) / (2 * h)
+        err = abs(fd - grads[i]) / max(abs(fd), abs(grads[i]), 1e-4)
+        worst = max(worst, err)
     return worst

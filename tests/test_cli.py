@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: files, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mtlbal
 from mtlbal.cli import main
 
 FAST_CONFIG = """\
@@ -22,6 +27,17 @@ tasks = regression-mse:1:100:boom; binary-bce:1:1:ok
 balancer = baseline
 optimizer = sgd
 lr = 1000
+n_samples = 300
+input_dim = 4
+iterations = 30
+batch_size = 16
+seed = 1
+"""
+
+# uw's weight for the huge task underflows to zero after one step.
+OVERFLOW_CONFIG = """\
+tasks = regression-mse:1:1:a; regression-mse:1:1e60:huge
+balancer = uw
 n_samples = 300
 input_dim = 4
 iterations = 30
@@ -77,6 +93,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "numerical abort" in err
         assert "balancer-state v1" in err
+
+    def test_balancer_error_exits_two_without_traceback(self, tmp_path):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(OVERFLOW_CONFIG)
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "numerical abort" in proc.stderr and "task 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCompareCommand:

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mtlbal.balancers import EmaState, LossVector, combine, ema_update
+import mtlbal.harness
+from mtlbal.balancers import EPS_FLOOR, EmaState, LossVector, combine, ema_update
 from mtlbal.harness import (
     SCENARIOS,
     ConfigError,
     ExperimentConfig,
     NumericalAbort,
+    RunRecord,
     compare,
     config_to_text,
     parse_config,
@@ -19,7 +21,7 @@ from mtlbal.harness import (
     run_single_task,
     sweep,
 )
-from mtlbal.metrics import trace_to_text
+from mtlbal.metrics import coefficient_spikiness, trace_to_text
 from mtlbal.tasks import TaskSpec
 
 # Small, fast settings shared by most tests here.
@@ -30,6 +32,16 @@ DIVERGENT = ExperimentConfig(
     balancer="baseline",
     optimizer="sgd",
     lr=1000.0,
+    seed=1,
+    **FAST,
+)
+
+
+# A finite but huge loss (about 1e120) that baseline and ema train through,
+# while uw's weight exp(-s) underflows to zero after one step.
+OVERFLOW = ExperimentConfig(
+    tasks=(TaskSpec("regression-mse", 1, 1.0, "a"), TaskSpec("regression-mse", 1, 1e60, "huge")),
+    balancer="baseline",
     seed=1,
     **FAST,
 )
@@ -233,6 +245,50 @@ class TestCompare:
         assert failed.n_failed >= 1
         text = report.to_table_text()
         assert text.count("\n") == 3  # header + one row per method
+
+    def test_balancer_error_marks_run_failed_and_others_complete(self):
+        methods = [dataclasses.replace(OVERFLOW, balancer=m, name=m) for m in ("baseline", "uw", "ema")]
+        report = compare(methods, [1, 2], normalized_spread=True)
+        for rec in report.rows:
+            if rec.method == "uw":
+                assert rec.status == "failed"
+                assert "task 1" in rec.error and "strictly positive" in rec.error
+            else:
+                assert rec.status == "ok"
+
+    def test_per_seed_dataset_reuse_matches_independent_runs(self, monkeypatch):
+        generated = []
+        real_generate = mtlbal.harness.generate_mtl
+
+        def counting(**kw):
+            generated.append(kw["seed"])
+            return real_generate(**kw)
+
+        monkeypatch.setattr(mtlbal.harness, "generate_mtl", counting)
+        configs = [fast_config(balancer=m, name=m) for m in ("baseline", "ema")]
+        report = compare(configs, [3, 4], normalized_spread=True)
+        assert generated == [3, 4]
+        assert [(r.method, r.seed) for r in report.rows] == [
+            ("baseline", 3), ("baseline", 4), ("ema", 3), ("ema", 4)
+        ]
+        dominant = 7  # celeb-mini's x50 task
+        for rec, cfg in zip(report.rows, [configs[0]] * 2 + [configs[1]] * 2):
+            seed_cfg = dataclasses.replace(cfg, seed=rec.seed)
+            result = run_experiment(seed_cfg)
+            refs = [run_single_task(seed_cfg, k).task_results[0].test_loss for k in range(8)]
+            losses = np.array([t.test_loss for t in result.task_results])
+            norm = losses / np.maximum(np.array(refs), EPS_FLOOR)
+            assert rec == RunRecord(
+                method=cfg.label,
+                seed=rec.seed,
+                status="ok",
+                composite=result.composite,
+                task_metrics=[t.metric for t in result.task_results],
+                test_losses=losses.tolist(),
+                norm_spread=float(norm.max() / max(norm.min(), EPS_FLOOR)),
+                dominated_norm_loss=float(np.delete(norm, dominant).max()),
+                spikiness=coefficient_spikiness(result.trace),
+            )
 
     def test_reference_abort_disables_spread_but_proceeds(self):
         a = dataclasses.replace(DIVERGENT, name="x")

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlbal.network import (
-    DenseLayer,
     ModelParams,
     adam_step,
     backward,
-    forward,
+    forward_cache,
     init_moments,
     init_params,
     params_from_text,
@@ -18,12 +19,7 @@ from mtlbal.network import (
 )
 from mtlbal.tasks import Batch, TaskSpec
 
-from helpers import (
-    flatten_params,
-    has_relu_kink,
-    max_fd_error,
-    random_instance,
-)
+from helpers import has_relu_kink, max_fd_error, random_instance
 
 MSE = TaskSpec("regression-mse", 1, 1.0, "r")
 BCE = TaskSpec("binary-bce", 1, 1.0, "b")
@@ -32,11 +28,12 @@ CE3 = TaskSpec("multiclass-ce", 3, 1.0, "c")
 
 def tiny_params(weights, activations):
     """Single-head chain from explicit (fan_in x fan_out) weight matrices."""
-    layers = [
-        DenseLayer(np.asarray(w, dtype=float), np.zeros(np.asarray(w).shape[1]), act)
-        for w, act in zip(weights, activations)
-    ]
-    return ModelParams(trunk=layers[:-1], heads=[[layers[-1]]])
+    layers = [np.asarray(w, dtype=float) for w in weights]
+    specs = [(w.shape[0], w.shape[1], act) for w, act in zip(layers, activations)]
+    params = ModelParams(trunk=specs[:-1], heads=[specs[-1:]])
+    for (w, _), value in zip(params.trunk + params.head(0), layers):
+        w[...] = value
+    return params
 
 
 class TestForward:
@@ -44,15 +41,15 @@ class TestForward:
         params = tiny_params(
             [np.zeros((3, 2)), np.zeros((2, 1))], ["relu", "linear"]
         )
-        _, outs = forward(params, np.ones((4, 3)))
-        assert np.array_equal(outs[0], np.zeros((4, 1)))
+        cache = forward_cache(params, np.ones((4, 3)))
+        assert np.array_equal(cache.outputs[0], np.zeros((4, 1)))
 
     def test_identity_composition(self):
         params = tiny_params([np.eye(3), np.eye(3)], ["linear", "linear"])
         x = np.arange(12.0).reshape(4, 3)
-        shared, outs = forward(params, x)
-        assert np.array_equal(shared, x)
-        assert np.array_equal(outs[0], x)
+        cache = forward_cache(params, x)
+        assert np.array_equal(cache.shared, x)
+        assert np.array_equal(cache.outputs[0], x)
 
     def test_hand_computed_3_2_1(self):
         # trunk: relu(x @ W1), head: linear(w @ W2); verified by scalar math.
@@ -62,54 +59,61 @@ class TestForward:
         x = np.array([[1.0, 2.0, 3.0]])
         # x @ W1 = (1*1+2*2+3*0, -1+1+3) = (5, 3); relu keeps (5, 3)
         # head: 5*2 + 3*(-3) = 1
-        shared, outs = forward(params, x)
-        assert shared.tolist() == [[5.0, 3.0]]
-        assert outs[0].tolist() == [[1.0]]
+        cache = forward_cache(params, x)
+        assert cache.shared.tolist() == [[5.0, 3.0]]
+        assert cache.outputs[0].tolist() == [[1.0]]
 
     def test_input_width_mismatch(self):
         params = tiny_params([np.zeros((3, 2)), np.zeros((2, 1))], ["relu", "linear"])
         with pytest.raises(ValueError, match="input_dim"):
-            forward(params, np.ones((4, 5)))
+            forward_cache(params, np.ones((4, 5)))
 
     def test_layer_chain_validated(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            ModelParams(
-                trunk=[DenseLayer(np.zeros((3, 2)), np.zeros(2), "relu")],
-                heads=[[DenseLayer(np.zeros((4, 1)), np.zeros(1), "linear")]],
-            )
+            ModelParams(trunk=[(3, 2, "relu")], heads=[[(4, 1, "linear")]])
+
+    def test_equal_heads_share_a_group(self):
+        celeb = init_params(1, 4, (8,), (4,), (BCE,) * 5)
+        assert celeb.group_tasks == ((0, 1, 2, 3, 4),)
+        va = init_params(1, 4, (8,), (4,), (CE3, MSE, MSE))
+        assert va.group_tasks == ((0,), (1, 2))
+        assert va.groups[1][0][0].shape == (2, 8, 4)
+
+    def test_stacked_heads_match_single_heads_bitwise(self):
+        params = init_params(2, 5, (7, 6), (4,), (MSE, BCE, MSE, CE3, BCE))
+        x = np.linspace(-2.0, 2.0, 40).reshape(8, 5)
+        full = forward_cache(params, x)
+        for k in range(params.n_tasks):
+            alone = forward_cache(params.select([k]), x)
+            assert np.array_equal(full.outputs[k], alone.outputs[0])
 
 
 class TestBackward:
     def test_zero_weight_silences_task(self):
         params, batch, _ = random_instance(3, kinds=("regression-mse", "binary-bce"))
         _, grads = backward(params, batch, np.array([1.0, 0.0]))
-        for g in grads.heads[1]:
-            assert np.array_equal(g.weight, np.zeros_like(g.weight))
-            assert np.array_equal(g.bias, np.zeros_like(g.bias))
-        assert np.array_equal(
-            grads.last_trunk_per_task[1].weight,
-            np.zeros_like(grads.last_trunk_per_task[1].weight),
-        )
+        for w, b in params.like(grads).head(1):
+            assert np.array_equal(w, np.zeros_like(w))
+            assert np.array_equal(b, np.zeros_like(b))
         # Trunk gradients equal the task-0-only pass, bit for bit.
-        _, solo = backward(params, batch, np.array([1.0, 0.0]))
+        alone = params.select([0])
         _, only0 = backward(
-            ModelParams(trunk=params.trunk, heads=[params.heads[0]]),
-            Batch(batch.inputs, [batch.targets[0]], (batch.specs[0],)),
-            np.array([1.0]),
+            alone, Batch(batch.inputs, [batch.targets[0]], (batch.specs[0],)), np.array([1.0])
         )
-        for a, b in zip(solo.trunk, only0.trunk):
-            assert np.array_equal(a.weight, b.weight)
-            assert np.array_equal(a.bias, b.bias)
+        for (a_w, a_b), (b_w, b_b) in zip(params.like(grads).trunk, alone.like(only0).trunk):
+            assert np.array_equal(a_w, b_w)
+            assert np.array_equal(a_b, b_b)
 
     def test_doubling_weight_doubles_contribution_exactly(self):
         params, batch, _ = random_instance(4, kinds=("regression-mse", "multiclass-ce"))
         _, g1 = backward(params, batch, np.array([1.0, 0.5]))
         _, g2 = backward(params, batch, np.array([1.0, 1.0]))
-        assert np.array_equal(
-            g2.last_trunk_per_task[1].weight, 2.0 * g1.last_trunk_per_task[1].weight
-        )
-        for a, b in zip(g2.heads[1], g1.heads[1]):
-            assert np.array_equal(a.weight, 2.0 * b.weight)
+        for (a_w, a_b), (b_w, b_b) in zip(params.like(g2).head(1), params.like(g1).head(1)):
+            assert np.array_equal(a_w, 2.0 * b_w)
+            assert np.array_equal(a_b, 2.0 * b_b)
+        n1 = shared_layer_grad_norms(params, batch, np.array([1.0, 0.5]))
+        n2 = shared_layer_grad_norms(params, batch, np.array([1.0, 1.0]))
+        assert n2[1] == 2.0 * n1[1]
 
     def test_matches_central_finite_differences(self):
         # >= 20 random (net, batch, weight) triples over all three loss kinds.
@@ -133,27 +137,34 @@ class TestBackward:
             assert worst < 1e-5, f"seed {seed}: max relative error {worst}"
             checked += 1
 
+    def test_stacked_group_matches_finite_differences(self):
+        # Equal heads form one stacked group; their gradients stay exact.
+        checked, seed = 0, 20
+        while checked < 5:
+            seed += 1
+            params, batch, weights = random_instance(seed, kinds=("binary-bce",) * 3)
+            assert params.group_tasks == ((0, 1, 2),)
+            if has_relu_kink(params, batch):
+                continue
+            _, grads = backward(params, batch, weights)
+            assert max_fd_error(params, batch, weights, grads) < 1e-5, f"seed {seed}"
+            checked += 1
+
     def test_trunk_gradients_decompose_over_tasks(self):
         params, batch, weights = random_instance(9, kinds=("regression-mse", "binary-bce", "multiclass-ce"))
         _, grads = backward(params, batch, weights)
-        summed = [
-            (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.trunk
-        ]
+        summed = np.zeros_like(grads)
         for k in range(3):
             solo_w = np.zeros(3)
             solo_w[k] = weights[k]
-            _, g = backward(params, batch, solo_w)
-            summed = [
-                (sw + gl.weight, sb + gl.bias)
-                for (sw, sb), gl in zip(summed, g.trunk)
-            ]
-        for (sw, sb), gl in zip(summed, grads.trunk):
-            np.testing.assert_allclose(gl.weight, sw, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(gl.bias, sb, rtol=0, atol=1e-12)
+            summed += backward(params, batch, solo_w)[1]
+        for (sw, sb), (gw, gb) in zip(params.like(summed).trunk, params.like(grads).trunk):
+            np.testing.assert_allclose(gw, sw, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gb, sb, rtol=0, atol=1e-12)
 
     def test_nan_gradient_names_layer(self):
         params, batch, weights = random_instance(5, kinds=("regression-mse",))
-        params.heads[0][0].weight[0, 0] = np.nan
+        params.head(0)[0][0][0, 0] = np.nan
         with pytest.raises(ValueError, match="head|trunk"):
             backward(params, batch, weights)
 
@@ -171,7 +182,7 @@ class TestSharedLayerGradNorms:
 
     def test_duplicated_tasks_have_equal_norms(self):
         params, batch, _ = random_instance(8, kinds=("binary-bce",))
-        twin = ModelParams(trunk=params.trunk, heads=[params.heads[0], params.heads[0]])
+        twin = params.select([0, 0])
         twin_batch = Batch(batch.inputs, [batch.targets[0], batch.targets[0]],
                            (batch.specs[0], batch.specs[0]))
         norms = shared_layer_grad_norms(twin, twin_batch, np.array([0.7, 0.7]))
@@ -184,7 +195,25 @@ class TestSharedLayerGradNorms:
             solo = np.zeros(2)
             solo[k] = weights[k]
             _, grads = backward(params, batch, solo)
-            assert norms[k] == np.linalg.norm(grads.trunk[-1].weight)
+            expected = np.linalg.norm(params.like(grads).trunk[-1][0])
+            assert norms[k] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_shared_head_pass_matches_two_pass(self):
+        # One cache serves the probe and the weighted backward; the result
+        # must match fresh, separate passes for each.
+        kinds = ("regression-mse", "binary-bce", "multiclass-ce", "binary-bce")
+        for seed in range(30, 40):
+            params, batch, weights = random_instance(seed, kinds=kinds)
+            cache = forward_cache(params, batch.inputs)
+            norms = shared_layer_grad_norms(params, batch, weights, cache)
+            _, shared = backward(params, batch, weights, cache)
+            assert np.array_equal(shared, backward(params, batch, weights)[1])
+            for k in range(len(kinds)):
+                solo = np.zeros(len(kinds))
+                solo[k] = weights[k]
+                _, grads = backward(params, batch, solo)
+                two_pass = np.linalg.norm(params.like(grads).trunk[-1][0])
+                assert norms[k] == pytest.approx(two_pass, rel=1e-12, abs=0)
 
     def test_linear_scaling_in_weights_exact(self):
         params, batch, weights = random_instance(11, kinds=("binary-bce", "regression-mse"))
@@ -197,45 +226,30 @@ class TestSharedLayerGradNorms:
 class TestOptimizers:
     def test_zero_gradients_leave_parameters_unchanged(self):
         params, batch, _ = random_instance(12)
+        before = params.vector.copy()
         _, grads = backward(params, batch, np.array([0.0]))
-        after_sgd = sgd_step(params, grads, 0.1)
-        after_adam, _ = adam_step(params, grads, init_moments(params), 0.1)
-        for a, b, c in zip(
-            flatten_params(params), flatten_params(after_sgd), flatten_params(after_adam)
-        ):
-            assert np.array_equal(a, b)
-            assert np.array_equal(a, c)
+        sgd_step(params, grads, 0.1)
+        assert np.array_equal(params.vector, before)
+        adam_step(params, grads, init_moments(params), 1, 0.1)
+        assert np.array_equal(params.vector, before)
 
     def test_sgd_hand_value(self):
-        params = ModelParams(trunk=[DenseLayer(np.array([[1.0]]), np.zeros(1), "linear")],
-                             heads=[[DenseLayer(np.array([[1.0]]), np.zeros(1), "linear")]])
-        from mtlbal.network import Gradients, LayerGrads
-
-        grads = Gradients(
-            trunk=[LayerGrads(np.array([[0.5]]), np.zeros(1))],
-            heads=[[LayerGrads(np.array([[0.0]]), np.zeros(1))]],
-            last_trunk_per_task=[],
-        )
-        updated = sgd_step(params, grads, 0.1)
-        assert updated.trunk[0].weight[0, 0] == 0.95
+        params = tiny_params([[[1.0]], [[1.0]]], ["linear", "linear"])
+        grads = np.zeros_like(params.vector)
+        params.like(grads).trunk[0][0][0, 0] = 0.5
+        sgd_step(params, grads, 0.1)
+        assert params.trunk[0][0][0, 0] == 0.95
 
     def test_adam_first_step_magnitude_near_lr(self):
-        from mtlbal.network import Gradients, LayerGrads
-
-        params = ModelParams(
-            trunk=[DenseLayer(np.array([[1.0]]), np.zeros(1), "linear")],
-            heads=[[DenseLayer(np.array([[1.0]]), np.zeros(1), "linear")]],
-        )
-        grads = Gradients(
-            trunk=[LayerGrads(np.array([[1.0]]), np.zeros(1))],
-            heads=[[LayerGrads(np.array([[0.0]]), np.zeros(1))]],
-            last_trunk_per_task=[],
-        )
+        params = tiny_params([[[1.0]], [[1.0]]], ["linear", "linear"])
+        grads = np.zeros_like(params.vector)
+        params.like(grads).trunk[0][0][0, 0] = 1.0
         lr = 1e-3
-        updated, moments = adam_step(params, grads, init_moments(params), lr)
-        delta = 1.0 - updated.trunk[0].weight[0, 0]
+        moments = init_moments(params)
+        adam_step(params, grads, moments, 1, lr)
+        delta = 1.0 - params.trunk[0][0][0, 0]
         assert abs(delta - lr) < 1e-10
-        assert moments.t == 1
+        assert moments[0][0] == pytest.approx(0.1) and moments[1][0] == pytest.approx(0.001)
 
 
 class TestInitAndCheckpoint:
@@ -243,25 +257,57 @@ class TestInitAndCheckpoint:
         specs = (MSE, BCE)
         a = init_params(1, 8, (16, 16), (8,), specs)
         b = init_params(1, 8, (16, 16), (8,), specs)
-        for x, y in zip(flatten_params(a), flatten_params(b)):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.vector, b.vector)
         # std of a 8->16 layer should be near sqrt(2/8)
-        assert a.trunk[0].weight.std() == pytest.approx(np.sqrt(2.0 / 8.0), rel=0.3)
-        assert np.array_equal(a.trunk[0].bias, np.zeros(16))
+        w, bias = a.trunk[0]
+        assert w.std() == pytest.approx(np.sqrt(2.0 / 8.0), rel=0.3)
+        assert np.array_equal(bias, np.zeros(16))
 
     def test_output_activations_follow_task_kind(self):
         p = init_params(1, 4, (8,), (4,), (MSE, BCE, CE3))
-        assert [h[-1].activation for h in p.heads] == ["linear", "sigmoid", "softmax"]
-        assert [h[-1].fan_out for h in p.heads] == [1, 1, 3]
+        assert [h[-1][2] for h in p.head_layers] == ["linear", "sigmoid", "softmax"]
+        assert [h[-1][1] for h in p.head_layers] == [1, 1, 3]
 
     def test_checkpoint_roundtrip_exact(self):
         params = init_params(33, 5, (7, 6), (4,), (MSE, CE3))
         text = params_to_text(params)
         back = params_from_text(text)
-        for a, b in zip(flatten_params(params), flatten_params(back)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.vector, back.vector)
         assert params_to_text(back) == text
 
     def test_checkpoint_malformed_rejected(self):
         with pytest.raises(ValueError):
             params_from_text("nonsense")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: "model-checkpoint v1\nheads = 1\n", "missing key"),
+            (lambda t: t + "heads = 2\n", "duplicate"),
+            (lambda t: t + "extra = 1\n", "unknown"),
+            (lambda t: t.replace("trunk0.bias = 0,", "trunk0.bias = "), "values"),
+            (lambda t: t.replace("trunk0 = relu", "trunk0 = tanh"), "activation"),
+            (lambda t: t.replace("heads = 2", "heads = x"), "invalid literal"),
+        ],
+    )
+    def test_checkpoint_strict_keys(self, edit, message):
+        text = params_to_text(init_params(3, 3, (4,), (2,), (MSE, BCE)))
+        with pytest.raises(ValueError, match=message):
+            params_from_text(edit(text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_raises_only_value_error(self, data):
+        lines = params_to_text(init_params(4, 3, (4,), (2,), (MSE, CE3))).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["truncate", "drop", "replace"]))
+        if action == "truncate":
+            lines = lines[:i]
+        elif action == "drop":
+            del lines[i]
+        else:
+            lines[i] = data.draw(st.text(alphabet="ab =,.0123456789-", max_size=12))
+        try:
+            params_from_text("\n".join(lines) + "\n")
+        except ValueError:
+            pass

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlbal.rng import SplitMix64, derive
 
@@ -73,6 +75,20 @@ class TestDerived:
         perm = SplitMix64(4).permutation(50)
         assert sorted(perm.tolist()) == list(range(50))
         assert np.array_equal(perm, SplitMix64(4).permutation(50))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, _MASK), n=st.integers(0, 3000))
+    def test_permutation_matches_one_draw_fisher_yates(self, seed, n):
+        # Reference: one bounded draw per swap, i = n-1 down to 1.
+        ref_stream = SplitMix64(seed)
+        expected = np.arange(n, dtype=np.int64)
+        for i in range(n - 1, 0, -1):
+            j = ref_stream.below(i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        stream = SplitMix64(seed)
+        got = stream.permutation(n)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert stream.next_raw(1)[0] == ref_stream.next_raw(1)[0]
 
     def test_derive_gives_distinct_streams(self):
         a = SplitMix64(derive(1, 0xA)).next_raw(8)
