@@ -201,6 +201,18 @@ def _generate(config: ExperimentConfig, specs) -> Dataset:
     )
 
 
+def _dataset_for(config: ExperimentConfig, specs, data: Dataset | None) -> Dataset:
+    """`data` if it is the dataset `config` generates (a cheap check of the
+    generation inputs), a fresh one if it is None; ConfigError otherwise."""
+    if data is None:
+        return _generate(config, specs)
+    got = (data.seed, data.specs, data.n_samples, data.input_dim, data.relatedness, data.latent_dim)
+    wanted = (config.seed, tuple(specs), config.n_samples, config.input_dim, config.relatedness)
+    if got != wanted + (config.latent_dim or config.input_dim,):
+        raise ConfigError("data was not generated from this config's seed and data settings")
+    return data
+
+
 def _train(config: ExperimentConfig, data: Dataset, params, balancer):
     """The inner loop shared by all runs: trains `params` in place, returns the trace."""
     k = len(data.specs)
@@ -303,14 +315,14 @@ def run_experiment(config: ExperimentConfig, data: Dataset | None = None) -> Run
 
     Bitwise deterministic in (config, seed). Raises NumericalAbort with the
     offending iteration and a balancer snapshot if the total loss leaves the
-    finite range. `data`, if given, must be the dataset this config's seed
-    generates; `compare` passes it to share one dataset across a seed's runs.
+    finite range. `data`, if given, must be the dataset this config generates
+    (ConfigError otherwise); `compare` passes it to share one dataset across
+    a seed's runs.
     """
     config.validate()
     started = time.perf_counter()
     specs = config.resolved_tasks()
-    if data is None:
-        data = _generate(config, specs)
+    data = _dataset_for(config, specs, data)
     params = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, specs
     )
@@ -328,9 +340,7 @@ def run_experiment(config: ExperimentConfig, data: Dataset | None = None) -> Run
     )
 
 
-def run_single_task(
-    config: ExperimentConfig, task_index: int, data: Dataset | None = None
-) -> RunResult:
+def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | None = None) -> RunResult:
     """Train a clone of the architecture with only one head attached.
 
     The dataset and the full-model init come from the same seed streams as
@@ -344,11 +354,8 @@ def run_single_task(
     if not 0 <= task_index < len(specs):
         raise ConfigError(f"task index {task_index} out of range for {len(specs)} tasks")
     started = time.perf_counter()
-    if data is None:
-        data = _generate(config, specs)
-    single = dataclasses.replace(
-        data, targets=[data.targets[task_index]], specs=(specs[task_index],)
-    )
+    data = _dataset_for(config, specs, data)
+    single = dataclasses.replace(data, targets=[data.targets[task_index]], specs=(specs[task_index],))
     full = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, specs
     )

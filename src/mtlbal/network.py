@@ -163,16 +163,6 @@ class ModelParams:
                 w[...], b[...] = src_w, src_b
         return out
 
-    def named_views(self):
-        """(name, weight-or-bias view) for every trunk and per-task head array."""
-        for i, (w, b) in enumerate(self.trunk):
-            yield f"trunk[{i}].weight", w
-            yield f"trunk[{i}].bias", b
-        for k in range(self.n_tasks):
-            for i, (w, b) in enumerate(self.head(k)):
-                yield f"head[{k}][{i}].weight", w
-                yield f"head[{k}][{i}].bias", b
-
 
 def init_params(seed: int, input_dim: int, trunk_sizes, head_hidden, specs) -> ModelParams:
     """He-scaled random init (std sqrt(2/fan_in)), zero biases.
@@ -315,8 +305,8 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
     Losses are returned UNWEIGHTED (balancers consume raw magnitudes); the
     gradient differentiates sum_k weight(k) * loss(k) with the weights as
     constants, in the layout of `params.vector`. Pass the step's `cache` to
-    reuse its head pass. Raises ValueError naming an array if a gradient
-    is NaN.
+    reuse its head pass. Raises ValueError naming an array if that array's
+    gradient is NaN.
     """
     w = _weight_vector(params, weights)
     if cache is None:
@@ -326,11 +316,10 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
     # head alone would; at weight 1.0 the result is the same bit for bit.
     deltas = w[:, None, None] * unit.deltas
     last = len(params.trunk) - 1
+    last_w = np.matmul(_trunk_input(cache, last).T, deltas)
+    last_b = deltas.sum(axis=1)
     trunk = [None] * (last + 1)
-    trunk[last] = (
-        np.matmul(_trunk_input(cache, last).T, deltas).sum(axis=0),
-        deltas.sum(axis=1).sum(axis=0),
-    )
+    trunk[last] = (last_w.sum(axis=0), last_b.sum(axis=0))
     delta = deltas.sum(axis=0)
     for i in range(last - 1, -1, -1):
         up = delta @ params.trunk[i + 1][0].T
@@ -341,15 +330,29 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
         w_g = w[list(tasks)]
         pieces += [a for gw, gb in layers for a in (w_g[:, None, None] * gw, w_g[:, None] * gb)]
     grads = np.concatenate([a.ravel() for a in pieces])
-    # Sum-based probe: NaN anywhere poisons the sum; name the array only then.
+    # Sum-based probe: NaN anywhere poisons the sum, but so do +inf and -inf
+    # in different arrays; abort only if one array's own sum is NaN.
     s = float(grads.sum())
     if s != s:
-        where = next(
-            (name for name, v in params.like(grads).named_views() if np.isnan(v.sum())),
-            "gradient vector",
-        )
-        raise ValueError(f"NaN gradient in {where}")
+        for name, pair in _probe_order(params.like(grads), last_w, last_b):
+            for part, arr in zip(("weight", "bias"), pair):
+                if np.isnan(arr.sum()):
+                    raise ValueError(f"NaN gradient in {name.format(part)}")
     return list(cache.losses), grads
+
+
+def _probe_order(grads: ModelParams, last_w: np.ndarray, last_b: np.ndarray):
+    """(name template, (weight, bias)) for the NaN probe: per task, its head
+    layers top down, then its own piece of the last trunk layer; then the
+    lower trunk layers."""
+    last = len(grads.trunk) - 1
+    for k in range(grads.n_tasks):
+        head = grads.head(k)
+        for i in range(len(head) - 1, -1, -1):
+            yield f"head[{k}][{i}].{{}}", head[i]
+        yield f"trunk[{last}].{{}} (task {k})", (last_w[k], last_b[k])
+    for i in range(last - 1, -1, -1):
+        yield f"trunk[{i}].{{}}", grads.trunk[i]
 
 
 def shared_layer_grad_norms(
@@ -358,15 +361,16 @@ def shared_layer_grad_norms(
     """L2 norm of each task's weighted gradient at the last trunk layer.
 
     Norms cover the layer's weight matrix only (the designated parameter
-    subset); each equals ||d(weight(k) * loss(k)) / d W_last||_2, computed as
-    weight(k) times the unit-weight norm from the step's shared head pass.
+    subset); each equals ||d(weight(k) * loss(k)) / d W_last||_2. The
+    weights scale the step's shared head pass before the matmul, as in
+    `backward`, so a norm is that of task k's piece of `backward` bit for bit.
     """
     w = _weight_vector(params, weights)
     if cache is None:
         cache = forward_cache(params, batch.inputs)
-    deltas = _unit_pass(params, cache, batch).deltas
+    deltas = w[:, None, None] * _unit_pass(params, cache, batch).deltas
     per_task = np.matmul(_trunk_input(cache, len(params.trunk) - 1).T, deltas)
-    return w * np.linalg.norm(per_task, axis=(1, 2))
+    return np.array([np.linalg.norm(p) for p in per_task])
 
 
 # ---------------------------------------------------------------------------

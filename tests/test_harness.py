@@ -22,7 +22,7 @@ from mtlbal.harness import (
     sweep,
 )
 from mtlbal.metrics import coefficient_spikiness, trace_to_text
-from mtlbal.tasks import TaskSpec
+from mtlbal.tasks import TaskSpec, generate_mtl
 
 # Small, fast settings shared by most tests here.
 FAST = dict(n_samples=300, input_dim=4, iterations=30, batch_size=16, log_cadence=5)
@@ -199,6 +199,20 @@ class TestSingleTask:
         a = run_single_task(fast_config(), 2)
         b = run_single_task(fast_config(), 2)
         assert a.task_results[0].test_loss == b.task_results[0].test_loss
+
+    def test_data_from_other_settings_rejected(self):
+        cfg = fast_config()
+        fields = dict(seed=cfg.seed, input_dim=cfg.input_dim, n_samples=cfg.n_samples,
+                      specs=cfg.resolved_tasks(), relatedness=cfg.relatedness)
+        for change in (dict(seed=cfg.seed + 1), dict(relatedness=0.5), dict(latent_dim=2)):
+            data = generate_mtl(**{**fields, **change})
+            with pytest.raises(ConfigError, match="data"):
+                run_experiment(cfg, data)
+            with pytest.raises(ConfigError, match="data"):
+                run_single_task(cfg, 0, data)
+        assert run_single_task(cfg, 0, generate_mtl(**fields)).composite == (
+            run_single_task(cfg, 0).composite
+        )
 
 
 class TestCompare:
