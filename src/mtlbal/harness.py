@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -213,32 +214,38 @@ def _dataset_for(config: ExperimentConfig, specs, data: Dataset | None) -> Datas
     return data
 
 
+#: Training steps whose batch indices are drawn in one call.
+DRAW_BLOCK = 64
+
+
 def _train(config: ExperimentConfig, data: Dataset, params, balancer):
     """The inner loop shared by all runs: trains `params` in place, returns the trace."""
     k = len(data.specs)
     names = tuple(s.name or f"task{i}" for i, s in enumerate(data.specs))
     trace = Trace(task_names=names)
     batch_stream = SplitMix64(derive(config.seed, BATCH_STREAM_TAG))
+    n_train, size = data.train_index.size, config.batch_size
     moments = network.init_moments(params) if config.optimizer == "adam" else None
+    cache = None  # the run's step buffers, allocated by the first forward
     prev_losses: np.ndarray | None = None
     prev2_losses: np.ndarray | None = None
 
     for t in range(config.iterations):
-        index = data.train_index[batch_stream.below(data.train_index.size, config.batch_size)]
-        batch = data.batch(index)
-        # Divergence shows up as inf/nan and is caught explicitly below, so
-        # the float overflow that precedes it is expected, not a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cache = network.forward_cache(params, batch.inputs)
-            losses = network.task_losses(params, cache, batch)
-        if not np.isfinite(losses).all():
-            raise NumericalAbort(t, snapshot(balancer), "per-task loss not finite")
-
-        loss_vec = LossVector(losses, iteration=t)
-        # Finite but extreme losses can still overflow a balancer's weights;
-        # every ValueError from here on aborts this run, not the process.
+        # The stream is counter-based, so a block of draws is the same
+        # sequence as one call per step.
+        offset = (t % DRAW_BLOCK) * size
+        if offset == 0:
+            rows = data.train_index[batch_stream.below(n_train, DRAW_BLOCK * size)]
+        batch = data.batch(rows[offset : offset + size])
+        # Divergence shows up as inf/nan and is caught explicitly (LossVector
+        # names the first non-finite task), so the float overflow that
+        # precedes it is expected, not a warning. Finite but extreme losses
+        # can still overflow a balancer's weights; every ValueError from here
+        # on aborts this run, not the process.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
+                cache = network.forward_cache(params, batch.inputs, cache)
+                loss_vec = LossVector(network.task_losses(params, cache, batch), iteration=t)
                 grad_norms = None
                 if balancer.requires_grad_norms:
                     grad_norms = network.shared_layer_grad_norms(
@@ -246,7 +253,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
                     )
                 weights = balancer.step(loss_vec, grad_norms)
                 total = combine(weights, loss_vec)
-                if not np.isfinite(total):
+                if not math.isfinite(total):
                     raise ValueError("weighted total not finite")
                 _, grads = network.backward(params, batch, weights, cache)
                 if config.optimizer == "adam":
@@ -256,6 +263,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
         except ValueError as exc:
             raise NumericalAbort(t, snapshot(balancer), str(exc)) from exc
 
+        losses = loss_vec.values
         if t % config.log_cadence == 0 or t == config.iterations - 1:
             if prev_losses is not None and prev2_losses is not None:
                 rates = prev_losses / np.maximum(prev2_losses, EPS_FLOOR)

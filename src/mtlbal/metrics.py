@@ -130,9 +130,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
     def weight_means(self) -> np.ndarray:
         return np.array([float(r.weights.mean()) for r in self.rows])
 

@@ -14,6 +14,10 @@ weight; the per-task pieces at the LAST trunk layer (the designated
 parameter subset for gradient-norm balancing) feed both the grad-norm probe
 and the weighted trunk backward, and the weights multiply afterwards.
 
+A ForwardCache holds a run's step buffers, sized by the parameter layout
+and the batch size: forward, backward and Adam write into them, so a step
+allocates little beyond the loss, and each head group takes one loss call.
+
 Parameters are single-owner during training; reductions over tasks run in
 task order, so a fixed seed gives a bitwise-identical trajectory.
 """
@@ -21,7 +25,6 @@ task order, so a fixed seed gives a bitwise-identical trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,33 +44,50 @@ OUTPUT_ACTIVATION = {
 INIT_STREAM_TAG = 0x1217
 
 
-def activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(cache: "ForwardCache", key, z: np.ndarray, kind: str) -> np.ndarray:
+    """kind(z), into buffers of `cache` named after `key`."""
     if kind == "linear":
         return z
+    a = cache.buffer(key + ("a",), z.shape)
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=a)
     if kind == "sigmoid":
         # exp(-|z|) cannot overflow: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if kind == "softmax":
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-    raise ValueError(f"unknown activation {kind!r}")
+        one_plus = cache.buffer(key + ("tmp",), z.shape)
+        z_nonneg = cache.buffer(key + ("mask",), z.shape, bool)
+        np.exp(np.negative(np.abs(z, out=a), out=a), out=a)
+        np.add(a, 1.0, out=one_plus)
+        np.divide(a, one_plus, out=a)
+        np.greater_equal(z, 0.0, out=z_nonneg)
+        return np.divide(1.0, one_plus, out=a, where=z_nonneg)
+    row = cache.buffer(key + ("row",), z.shape[:-1] + (1,))
+    np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True, out=row), out=a)
+    np.exp(a, out=a)
+    return np.divide(a, np.add.reduce(a, axis=-1, keepdims=True, out=row), out=a)
 
 
-def _backprop_activation(upstream: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """Gradient with respect to z given the gradient with respect to a."""
+def _backprop(cache: "ForwardCache", key, up: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str):
+    """Gradient with respect to z given `up`, the gradient with respect to
+    a = kind(z), into a buffer of `cache` shaped like `up` (which has a
+    leading task axis at the last trunk layer)."""
     if kind == "linear":
-        return upstream
+        return up
+    d = cache.buffer(key + ("delta",), up.shape)
     if kind == "relu":
-        return np.where(z > 0, upstream, 0.0)
+        # where(z > 0, up, 0.0) without a branch per element (np.where
+        # mispredicts on a random mask): z > 0 as 0 or -1, all bits set,
+        # ANDed with the bits of `up`. A multiply by the mask would give
+        # -0.0 or NaN (inf * 0) where this gives +0.0.
+        mask = cache.buffer(key + ("bits",), z.shape, np.int64)
+        np.negative(np.greater(z, 0.0, out=mask), out=mask)
+        np.bitwise_and(up.view(np.int64), mask, out=d.view(np.int64))
+        return d
     if kind == "sigmoid":
-        return upstream * a * (1.0 - a)
-    if kind == "softmax":
-        dot = np.sum(upstream * a, axis=-1, keepdims=True)
-        return a * (upstream - dot)
-    raise ValueError(f"unknown activation {kind!r}")
+        one_minus = np.subtract(1.0, a, out=cache.buffer(key + ("tmp",), a.shape))
+        return np.multiply(np.multiply(up, a, out=d), one_minus, out=d)
+    row = cache.buffer(key + ("delta_row",), up.shape[:-1] + (1,))
+    np.add.reduce(np.multiply(up, a, out=d), axis=-1, keepdims=True, out=row)
+    return np.multiply(a, np.subtract(up, row, out=d), out=d)
 
 
 class ModelParams:
@@ -109,6 +129,11 @@ class ModelParams:
         for g, tasks in enumerate(self.group_tasks):
             for i, k in enumerate(tasks):
                 self.slots[k] = (g, i)
+        # Each group's tasks as a slice when they are consecutive, else an index array.
+        self.group_index = [
+            slice(ts[0], ts[-1] + 1) if ts == tuple(range(ts[0], ts[-1] + 1)) else np.array(ts)
+            for ts in self.group_tasks
+        ]
 
         shapes = [s for i, o, _ in self.trunk_layers for s in ((i, o), (o,))]
         for tasks in self.group_tasks:
@@ -190,102 +215,124 @@ def init_params(seed: int, input_dim: int, trunk_sizes, head_hidden, specs) -> M
     return params
 
 
-@dataclass
 class ForwardCache:
-    """One forward pass, plus the loss and head-backward results derived from
-    it on first use.
+    """One forward pass over a batch, plus the losses, the unit-weight head
+    pass and the gradient derived from it on first use.
 
-    `group_z`/`group_a` hold, per head group, each layer's stacked
-    pre-activations and activations of shape (n, batch, fan_out);
-    `outputs[k]` is task k's prediction.
+    `trunk_z`/`trunk_a` hold each trunk layer's pre-activations and
+    activations, `group_z`/`group_a` each head group's stacked ones of shape
+    (n, batch, fan_out), and `outputs[k]` is task k's prediction. They and
+    every backward array live in the cache's buffers, allocated on first use:
+    a training run passes one cache to every step's `forward_cache`, so it
+    allocates them once, and a forward-only cache allocates no backward ones.
     """
 
-    inputs: np.ndarray
-    trunk_z: list
-    trunk_a: list
-    group_z: list
-    group_a: list
-    outputs: list
-    losses: np.ndarray | None = None
-    pred_grads: list | None = None  # per group: stacked d loss / d prediction
-    unit: _UnitPass | None = None
+    def __init__(self, batch_size: int):
+        self.batch_size = batch_size
+        self.losses = self.pred_grads = self.unit = self.grad = None
+        self.unit_ready = False
+        self._buffers: dict = {}
+
+    def buffer(self, key, shape, dtype=np.float64) -> np.ndarray:
+        """The buffer named `key`, allocated with `shape` on first use."""
+        buf = self._buffers.get(key)
+        if buf is None:
+            buf = self._buffers[key] = np.empty(shape, dtype)
+        return buf
 
     @property
     def shared(self) -> np.ndarray:
         return self.trunk_a[-1]
 
 
-def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
+def forward_cache(
+    params: ModelParams, inputs: np.ndarray, cache: ForwardCache | None = None
+) -> ForwardCache:
+    """Run the forward pass into `cache`, or into a new cache sized by
+    `inputs` when it is None, and return the cache. A reused cache's arrays
+    from the previous step, the gradient `backward` returned included, are
+    overwritten."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"inputs {x.shape} do not match input_dim {params.input_dim}")
-    trunk_z, trunk_a = [], []
-    a = x
-    for (w, b), (_, _, act) in zip(params.trunk, params.trunk_layers):
-        z = a @ w + b
-        a = activate(z, act)
-        trunk_z.append(z)
-        trunk_a.append(a)
-    group_z, group_a = [], []
-    for tasks, layers in zip(params.group_tasks, params.groups):
+    if cache is None:
+        cache = ForwardCache(x.shape[0])
+    elif x.shape[0] != cache.batch_size:
+        raise ValueError(f"cache holds batches of {cache.batch_size} rows, got {x.shape[0]}")
+    cache.inputs, cache.losses, cache.unit_ready = x, None, False
+    cache.trunk_z, cache.trunk_a, cache.group_z, cache.group_a = [], [], [], []
+    a, rows = x, x.shape[0]
+    for i, ((w, b), (_, _, act)) in enumerate(zip(params.trunk, params.trunk_layers)):
+        z = np.matmul(a, w, out=cache.buffer(("trunk", i), (rows, w.shape[1])))
+        z += b
+        a = _activate(cache, ("trunk", i), z, act)
+        cache.trunk_z.append(z)
+        cache.trunk_a.append(a)
+    for g, (tasks, weights) in enumerate(zip(params.group_tasks, params.groups)):
         zs, as_ = [], []
         h = a
-        for (w, b), (_, _, act) in zip(layers, params.head_layers[tasks[0]]):
-            z = np.matmul(h, w) + b[:, None, :]
-            h = activate(z, act)
+        for i, ((w, b), (_, _, act)) in enumerate(zip(weights, params.head_layers[tasks[0]])):
+            z = np.matmul(h, w, out=cache.buffer(("head", g, i), (len(tasks), rows, w.shape[2])))
+            z += b[:, None, :]
+            h = _activate(cache, ("head", g, i), z, act)
             zs.append(z)
             as_.append(h)
-        group_z.append(zs)
-        group_a.append(as_)
-    outputs = [group_a[g][-1][i] for g, i in params.slots]
-    return ForwardCache(x, trunk_z, trunk_a, group_z, group_a, outputs)
+        cache.group_z.append(zs)
+        cache.group_a.append(as_)
+    cache.outputs = [cache.group_a[g][-1][i] for g, i in params.slots]
+    return cache
 
 
 def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.ndarray:
-    """Raw (unweighted) per-task losses; also keeps d loss / d prediction."""
+    """Raw (unweighted) per-task losses, a new array each step; also keeps
+    d loss / d prediction. One loss call per head group."""
     if cache.losses is None:
-        losses, grads = [], []
-        for k, spec in enumerate(batch.specs):
-            loss_k, g = loss_and_grad(spec.kind, cache.outputs[k], batch.targets[k], spec.loss_scale)
-            losses.append(loss_k)
-            grads.append(g)
-        cache.losses = np.array(losses)
-        cache.pred_grads = [np.stack([grads[k] for k in tasks]) for tasks in params.group_tasks]
+        losses, cache.pred_grads = np.empty(params.n_tasks), []
+        for tasks, index, outputs in zip(params.group_tasks, params.group_index, cache.group_a):
+            specs = [batch.specs[k] for k in tasks]
+            if len({s.kind for s in specs}) != 1:
+                raise ValueError(f"tasks {tasks} share a head group but not a loss kind")
+            targets = np.concatenate([batch.targets[k] for k in tasks])
+            targets = targets.reshape((len(tasks),) + np.shape(batch.targets[tasks[0]]))
+            scales = np.array([s.loss_scale for s in specs])
+            losses[index], grad = loss_and_grad(specs[0].kind, outputs[-1], targets, scales)
+            cache.pred_grads.append(grad)
+        cache.losses = losses
     return cache.losses
 
 
-@dataclass
-class _UnitPass:
-    """Heads run backward at unit task weight: `heads[g][i]` is group g's
-    layer-i (weight, bias) gradient, `deltas[k]` task k's gradient at the
-    last trunk layer's pre-activation."""
-
-    heads: list
-    deltas: np.ndarray
-
-
-def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> _UnitPass:
-    if cache.unit is not None:
-        return cache.unit
-    task_losses(params, cache, batch)
-    heads = []
-    at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
-    for g, tasks in enumerate(params.group_tasks):
-        layers = params.groups[g]
-        grads = [None] * len(layers)
-        up = cache.pred_grads[g]
-        for i in range(len(layers) - 1, -1, -1):
-            act = params.head_layers[tasks[0]][i][2]
-            delta = _backprop_activation(up, cache.group_z[g][i], cache.group_a[g][i], act)
-            below = cache.group_a[g][i - 1] if i > 0 else cache.shared
-            grads[i] = (np.matmul(below.swapaxes(-1, -2), delta), delta.sum(axis=-2))
-            up = np.matmul(delta, layers[i][0].swapaxes(-1, -2))
-        at_shared[list(tasks)] = up
-        heads.append(grads)
-    act = params.trunk_layers[-1][2]
-    deltas = _backprop_activation(at_shared, cache.trunk_z[-1], cache.trunk_a[-1], act)
-    cache.unit = _UnitPass(heads, deltas)
-    return cache.unit
+def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.ndarray:
+    """Run the heads backward at unit task weight once per forward, keeping
+    each head group's layer gradients in `cache.unit`; returns each task's
+    gradient at the last trunk layer's pre-activation."""
+    if not cache.unit_ready:
+        task_losses(params, cache, batch)
+        at_shared = cache.buffer("at_shared", (params.n_tasks,) + cache.shared.shape)
+        if cache.unit is None:
+            cache.unit = [[(np.empty_like(w), np.empty_like(b)) for w, b in ws] for ws in params.groups]
+        for g, (tasks, weights) in enumerate(zip(params.group_tasks, params.groups)):
+            index, up = params.group_index[g], cache.pred_grads[g]
+            zs, as_ = cache.group_z[g], cache.group_a[g]
+            for i in range(len(weights) - 1, -1, -1):
+                act = params.head_layers[tasks[0]][i][2]
+                delta = _backprop(cache, ("head", g, i), up, zs[i], as_[i], act)
+                below = as_[i - 1] if i > 0 else cache.shared
+                w = weights[i][0]
+                np.matmul(below.swapaxes(-1, -2), delta, out=cache.unit[g][i][0])
+                np.add.reduce(delta, axis=-2, out=cache.unit[g][i][1])
+                # A group of consecutive tasks passes its gradient straight into at_shared.
+                if i == 0 and isinstance(index, slice):
+                    out = at_shared[index]
+                else:
+                    out = cache.buffer(("up", g, i), delta.shape[:-1] + w.shape[1:2])
+                up = np.matmul(delta, w.swapaxes(-1, -2), out=out)
+            if not isinstance(index, slice):
+                at_shared[index] = up
+        last = len(params.trunk) - 1
+        z, act = cache.trunk_z[last], params.trunk_layers[last][2]
+        cache.deltas = _backprop(cache, ("trunk", last), at_shared, z, cache.shared, act)
+        cache.unit_ready = True
+    return cache.deltas
 
 
 def _trunk_input(cache: ForwardCache, layer: int) -> np.ndarray:
@@ -299,46 +346,60 @@ def _weight_vector(params: ModelParams, weights) -> np.ndarray:
     return w
 
 
+def _last_layer_pieces(params: ModelParams, batch: Batch, weights, cache) -> tuple:
+    """Each task's weighted gradient piece at the last trunk layer's weight;
+    the weights scale the unit pass before the matmul."""
+    w = _weight_vector(params, weights)
+    if cache is None:
+        cache = forward_cache(params, batch.inputs)
+    deltas = _unit_pass(params, cache, batch)
+    scaled = np.multiply(w[:, None, None], deltas, out=cache.buffer("scaled", deltas.shape))
+    x = _trunk_input(cache, len(params.trunk) - 1)
+    shape = (params.n_tasks,) + params.trunk[-1][0].shape
+    last_w = np.matmul(x.T, scaled, out=cache.buffer("last_w", shape))
+    return w, cache, scaled, last_w
+
+
 def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | None = None):
     """Per-task raw losses and the exact gradient vector of the weighted total.
 
     Losses are returned UNWEIGHTED (balancers consume raw magnitudes); the
     gradient differentiates sum_k weight(k) * loss(k) with the weights as
     constants, in the layout of `params.vector`. Pass the step's `cache` to
-    reuse its head pass. Raises ValueError naming an array if that array's
-    gradient is NaN.
+    reuse its head pass; the gradient vector is then the cache's own buffer.
+    Raises ValueError naming an array if that array's gradient is NaN.
     """
-    w = _weight_vector(params, weights)
-    if cache is None:
-        cache = forward_cache(params, batch.inputs)
-    unit = _unit_pass(params, cache, batch)
+    w, cache, scaled, last_w = _last_layer_pieces(params, batch, weights, cache)
+    if cache.grad is None:
+        cache.grad = params.like(np.empty(params.vector.size))
+    grad = cache.grad
     # Per-task products are summed over tasks in task order, as running each
     # head alone would; at weight 1.0 the result is the same bit for bit.
-    deltas = w[:, None, None] * unit.deltas
     last = len(params.trunk) - 1
-    last_w = np.matmul(_trunk_input(cache, last).T, deltas)
-    last_b = deltas.sum(axis=1)
-    trunk = [None] * (last + 1)
-    trunk[last] = (last_w.sum(axis=0), last_b.sum(axis=0))
-    delta = deltas.sum(axis=0)
+    last_b = np.add.reduce(scaled, axis=1, out=cache.buffer("last_b", last_w.shape[::2]))
+    np.add.reduce(last_w, axis=0, out=grad.trunk[last][0])
+    np.add.reduce(last_b, axis=0, out=grad.trunk[last][1])
+    delta = np.add.reduce(scaled, axis=0, out=cache.buffer("delta_sum", scaled.shape[1:]))
     for i in range(last - 1, -1, -1):
-        up = delta @ params.trunk[i + 1][0].T
-        delta = _backprop_activation(up, cache.trunk_z[i], cache.trunk_a[i], params.trunk_layers[i][2])
-        trunk[i] = (_trunk_input(cache, i).T @ delta, delta.sum(axis=0))
-    pieces = [a for pair in trunk for a in pair]
-    for tasks, layers in zip(params.group_tasks, unit.heads):
-        w_g = w[list(tasks)]
-        pieces += [a for gw, gb in layers for a in (w_g[:, None, None] * gw, w_g[:, None] * gb)]
-    grads = np.concatenate([a.ravel() for a in pieces])
+        z, act = cache.trunk_z[i], params.trunk_layers[i][2]
+        up = np.matmul(delta, params.trunk[i + 1][0].T, out=cache.buffer(("up", i), z.shape))
+        delta = _backprop(cache, ("trunk", i), up, z, cache.trunk_a[i], act)
+        np.matmul(_trunk_input(cache, i).T, delta, out=grad.trunk[i][0])
+        np.add.reduce(delta, axis=0, out=grad.trunk[i][1])
+    for index, unit, scaled_heads in zip(params.group_index, cache.unit, grad.groups):
+        w_g = w[index]
+        for (unit_w, unit_b), (grad_w, grad_b) in zip(unit, scaled_heads):
+            np.multiply(w_g[:, None, None], unit_w, out=grad_w)
+            np.multiply(w_g[:, None], unit_b, out=grad_b)
     # Sum-based probe: NaN anywhere poisons the sum, but so do +inf and -inf
     # in different arrays; abort only if one array's own sum is NaN.
-    s = float(grads.sum())
+    s = float(np.add.reduce(grad.vector))
     if s != s:
-        for name, pair in _probe_order(params.like(grads), last_w, last_b):
+        for name, pair in _probe_order(grad, last_w, last_b):
             for part, arr in zip(("weight", "bias"), pair):
                 if np.isnan(arr.sum()):
                     raise ValueError(f"NaN gradient in {name.format(part)}")
-    return list(cache.losses), grads
+    return list(cache.losses), grad.vector
 
 
 def _probe_order(grads: ModelParams, last_w: np.ndarray, last_b: np.ndarray):
@@ -365,12 +426,9 @@ def shared_layer_grad_norms(
     weights scale the step's shared head pass before the matmul, as in
     `backward`, so a norm is that of task k's piece of `backward` bit for bit.
     """
-    w = _weight_vector(params, weights)
-    if cache is None:
-        cache = forward_cache(params, batch.inputs)
-    deltas = w[:, None, None] * _unit_pass(params, cache, batch).deltas
-    per_task = np.matmul(_trunk_input(cache, len(params.trunk) - 1).T, deltas)
-    return np.array([np.linalg.norm(p) for p in per_task])
+    last_w = _last_layer_pieces(params, batch, weights, cache)[3]
+    # sqrt(x . x) over the flattened piece is how np.linalg.norm computes it.
+    return np.sqrt([p.dot(p) for p in last_w.reshape(params.n_tasks, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +442,9 @@ def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> None:
 
 
 def init_moments(params: ModelParams) -> np.ndarray:
-    """Adam's first and second moments, rows 0 and 1, in the parameter layout."""
-    return np.zeros((2, params.vector.size))
+    """Adam's state in the parameter layout: the first and second moments in
+    rows 0 and 1, and rows 2 and 3 as `adam_step`'s scratch."""
+    return np.zeros((4, params.vector.size))
 
 
 def adam_step(
@@ -399,14 +458,18 @@ def adam_step(
     eps: float = 1e-8,
 ) -> None:
     """Bias-corrected Adam update for step `t` (counted from 1), in place."""
-    m, v = moments
+    m, v, tmp, update = moments
     m *= beta1
-    m += (1.0 - beta1) * grads
+    np.multiply(grads, 1.0 - beta1, out=tmp)
+    m += tmp
     v *= beta2
-    v += (1.0 - beta2) * np.square(grads)
-    denom = np.sqrt(v / (1.0 - beta2**t))
+    np.square(grads, out=tmp)
+    tmp *= 1.0 - beta2
+    v += tmp
+    np.divide(v, 1.0 - beta2**t, out=tmp)
+    denom = np.sqrt(tmp, out=tmp)
     denom += eps
-    update = m / (1.0 - beta1**t)
+    np.divide(m, 1.0 - beta1**t, out=update)
     update *= lr
     update /= denom
     params.vector -= update

@@ -16,6 +16,7 @@ and freely shareable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,7 +79,9 @@ class Dataset:
     noise: float = NOISE_FRACTION
 
     def batch(self, index: np.ndarray) -> Batch:
-        return Batch(self.inputs[index], [t[index] for t in self.targets], self.specs)
+        """The rows listed in the integer array `index`."""
+        inputs, *targets = (a.take(index, axis=0) for a in [self.inputs, *self.targets])
+        return Batch(inputs, targets, self.specs)
 
     @property
     def n_samples(self) -> int:
@@ -162,8 +165,16 @@ def generate_mtl(
 _CLAMP = 1e-12
 
 
-def loss_and_grad(kind: str, predictions: np.ndarray, targets: np.ndarray, loss_scale: float = 1.0):
+def loss_and_grad(
+    kind: str, predictions: np.ndarray, targets: np.ndarray, loss_scale: float | np.ndarray = 1.0
+):
     """Mean-over-batch loss times loss_scale, and its gradient in predictions.
+
+    A call on one task's (batch, d) predictions returns a float loss. A call
+    on a head group's stacked (n, batch, d) predictions, with targets stacked
+    the same way ((n, batch) labels for multiclass-ce) and one loss_scale per
+    slice, returns the n losses and the stacked gradient; slice i is what the
+    call on slice i alone returns, bit for bit.
 
     The unscaled loss and gradient are computed first and multiplied by
     loss_scale at the end, so scaling is exactly linear. Probabilities are
@@ -175,34 +186,45 @@ def loss_and_grad(kind: str, predictions: np.ndarray, targets: np.ndarray, loss_
       integer class targets (one label per row)
     """
     p = np.asarray(predictions, dtype=np.float64)
+    stacked = p.ndim == 3
+    if not stacked:
+        p, targets = p[None], np.asarray(targets)[None]
+    scale = np.asarray(loss_scale, dtype=np.float64)
+    # Sums over each slice, divided by its size, as np.mean computes it.
+    axes = tuple(range(1, p.ndim))
+    size = math.prod(p.shape[1:])
+    if kind in ("regression-mse", "binary-bce"):
+        y = np.asarray(targets, dtype=np.float64)
+        if p.shape != y.shape:
+            raise ValueError(f"shape mismatch: predictions {p.shape} vs targets {y.shape}")
     if kind == "regression-mse":
-        y = np.asarray(targets, dtype=np.float64)
-        if p.shape != y.shape:
-            raise ValueError(f"shape mismatch: predictions {p.shape} vs targets {y.shape}")
         diff = p - y
-        base = float(np.mean(diff * diff))
-        grad = (2.0 / diff.size) * diff
+        base = np.add.reduce(diff * diff, axis=axes) / size
+        grad = (2.0 / size) * diff
     elif kind == "binary-bce":
-        y = np.asarray(targets, dtype=np.float64)
-        if p.shape != y.shape:
-            raise ValueError(f"shape mismatch: predictions {p.shape} vs targets {y.shape}")
-        pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-        base = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))))
-        grad = (-y / pc + (1.0 - y) / (1.0 - pc)) / pc.size
+        pc = np.minimum(np.maximum(p, _CLAMP), 1.0 - _CLAMP)
+        not_y = 1.0 - y
+        base = np.add.reduce(-(y * np.log(pc) + not_y * np.log1p(-pc)), axis=axes) / size
+        grad = (-y / pc + not_y / (1.0 - pc)) / size
     elif kind == "multiclass-ce":
-        y = np.asarray(targets).reshape(-1)
-        if p.ndim != 2 or p.shape[0] != y.size:
+        if p.ndim != 3:
+            raise ValueError(f"predictions {p.shape[1:]} are not (batch, classes)")
+        n, rows, classes = p.shape
+        y = np.asarray(targets).reshape(n, -1)
+        if y.shape[1] != rows:
             raise ValueError(f"predictions {p.shape} do not match {y.size} class labels")
-        if y.min() < 0 or y.max() >= p.shape[1]:
+        if np.minimum.reduce(y, axis=None) < 0 or np.maximum.reduce(y, axis=None) >= classes:
             raise ValueError("class labels out of range")
-        rows = np.arange(p.shape[0])
-        picked = np.clip(p[rows, y], _CLAMP, 1.0 - _CLAMP)
-        base = float(np.mean(-np.log(picked)))
+        at = (np.arange(n)[:, None], np.arange(rows), y)
+        picked = np.minimum(np.maximum(p[at], _CLAMP), 1.0 - _CLAMP)
+        base = np.add.reduce(-np.log(picked), axis=1) / rows
         grad = np.zeros_like(p)
-        grad[rows, y] = -1.0 / (p.shape[0] * picked)
+        grad[at] = -1.0 / (rows * picked)
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
-    return loss_scale * base, loss_scale * grad
+    loss = scale * base
+    grad *= scale.reshape(scale.shape + (1,) * (p.ndim - 1))
+    return (loss, grad) if stacked else (float(loss[0]), grad[0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +232,10 @@ def loss_and_grad(kind: str, predictions: np.ndarray, targets: np.ndarray, loss_
 # ---------------------------------------------------------------------------
 
 _DATASET_HEADER = "mtl-dataset v1"
+_DATASET_KEYS = (
+    "seed", "input_dim", "n_samples", "relatedness", "latent_dim", "noise",
+    "tasks", "train_index", "test_index",
+)
 
 
 def _fmt(x: float) -> str:
@@ -262,32 +288,44 @@ def dataset_to_text(data: Dataset) -> str:
 
 
 def dataset_from_text(text: str) -> Dataset:
-    """Rebuild a Dataset from `dataset_to_text` output."""
+    """Rebuild a Dataset from `dataset_to_text` output; any malformed input
+    (a duplicated, unknown or missing header key, a row of the wrong width,
+    a class label out of range, or indices that do not split the rows into
+    train and test, each row once) raises ValueError."""
     lines = text.splitlines()
     if not lines or lines[0] != _DATASET_HEADER:
         raise ValueError("not a dataset export (missing header)")
     header: dict[str, str] = {}
-    row_start = None
     for idx, ln in enumerate(lines[1:], start=1):
         if ln == "data:":
             row_start = idx + 1
             break
-        if " = " not in ln:
+        key, sep, value = ln.partition(" = ")
+        if not sep:
             raise ValueError(f"malformed dataset header line: {ln!r}")
-        key, value = ln.split(" = ", 1)
+        if key in header:
+            raise ValueError(f"duplicate dataset key {key!r}")
+        if key not in _DATASET_KEYS:
+            raise ValueError(f"unknown dataset key {key!r}")
         header[key] = value
-    if row_start is None:
+    else:
         raise ValueError("dataset export has no data section")
+    missing = [key for key in _DATASET_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"dataset header missing keys {missing}")
 
-    try:
-        specs = specs_from_text(header["tasks"])
-        n_samples = int(header["n_samples"])
-        input_dim = int(header["input_dim"])
-    except KeyError as exc:
-        raise ValueError(f"dataset header missing key {exc}") from exc
+    specs = specs_from_text(header["tasks"])
+    n_samples = int(header["n_samples"])
+    input_dim = int(header["input_dim"])
+    if input_dim < 1:
+        raise ValueError(f"input_dim must be positive, got {input_dim}")
     rows = [ln.split(",") for ln in lines[row_start:] if ln]
     if len(rows) != n_samples:
         raise ValueError(f"expected {n_samples} rows, found {len(rows)}")
+    width = input_dim + sum(1 if s.kind == "multiclass-ce" else s.output_dim for s in specs)
+    for i, cells in enumerate(rows):
+        if len(cells) != width:
+            raise ValueError(f"row {i} has {len(cells)} cells, expected {width}")
 
     inputs = np.empty((n_samples, input_dim))
     targets = [
@@ -306,24 +344,25 @@ def dataset_from_text(text: str) -> Dataset:
             else:
                 block[i] = [float(c) for c in cells[pos : pos + spec.output_dim]]
                 pos += spec.output_dim
-        if pos != len(cells):
-            raise ValueError(f"row {i} has {len(cells)} cells, expected {pos}")
+    for spec, block in zip(specs, targets):
+        if spec.kind == "multiclass-ce" and ((block < 0) | (block >= spec.output_dim)).any():
+            raise ValueError(f"class labels of task {spec.name!r} outside [0, {spec.output_dim})")
 
-    try:
-        return Dataset(
-            inputs=inputs,
-            targets=targets,
-            train_index=np.array(
-                [int(v) for v in header["train_index"].split(",")], dtype=np.int64
-            ),
-            test_index=np.array(
-                [int(v) for v in header["test_index"].split(",")], dtype=np.int64
-            ),
-            seed=int(header["seed"]),
-            specs=specs,
-            relatedness=float(header["relatedness"]),
-            latent_dim=int(header["latent_dim"]),
-            noise=float(header["noise"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"dataset header missing key {exc}") from exc
+    train_index, test_index = (
+        np.array([int(v) for v in header[key].split(",")], dtype=np.int64)
+        for key in ("train_index", "test_index")
+    )
+    both = np.sort(np.concatenate([train_index, test_index]))
+    if not np.array_equal(both, np.arange(n_samples)):
+        raise ValueError(f"train_index and test_index do not split rows 0..{n_samples - 1}")
+    return Dataset(
+        inputs=inputs,
+        targets=targets,
+        train_index=train_index,
+        test_index=test_index,
+        seed=int(header["seed"]),
+        specs=specs,
+        relatedness=float(header["relatedness"]),
+        latent_dim=int(header["latent_dim"]),
+        noise=float(header["noise"]),
+    )

@@ -45,6 +45,17 @@ batch_size = 16
 seed = 1
 """
 
+# The scaled regression loss overflows to inf at the first step.
+NONFINITE_CONFIG = """\
+tasks = binary-bce:1:1:ok; regression-mse:1:1e140:inf
+balancer = baseline
+n_samples = 300
+input_dim = 4
+iterations = 30
+batch_size = 16
+seed = 1
+"""
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -105,6 +116,19 @@ class TestRunCommand:
         )
         assert proc.returncode == 2
         assert "numerical abort" in proc.stderr and "task 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_loss_exits_two_naming_the_task(self, tmp_path):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(NONFINITE_CONFIG)
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "numerical abort" in proc.stderr and "loss for task 1 is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

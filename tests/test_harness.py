@@ -1,11 +1,16 @@
 """Harness contracts: config schema, determinism, comparisons, failure policy."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mtlbal.harness
+from mtlbal import network
 from mtlbal.balancers import EPS_FLOOR, EmaState, LossVector, combine, ema_update
 from mtlbal.harness import (
     SCENARIOS,
@@ -22,6 +27,7 @@ from mtlbal.harness import (
     sweep,
 )
 from mtlbal.metrics import coefficient_spikiness, trace_to_text
+from mtlbal.rng import SplitMix64, derive
 from mtlbal.tasks import TaskSpec, generate_mtl
 
 # Small, fast settings shared by most tests here.
@@ -45,6 +51,26 @@ OVERFLOW = ExperimentConfig(
     seed=1,
     **FAST,
 )
+
+
+# Regression targets of about 1e140: the loss, scaled once more, is inf at
+# the first step while the binary task's stays finite.
+NONFINITE = ExperimentConfig(
+    tasks=(TaskSpec("binary-bce", 1, 1.0, "ok"), TaskSpec("regression-mse", 1, 1e140, "inf")),
+    balancer="baseline",
+    seed=1,
+    **FAST,
+)
+
+# One run in a fresh process; the config arrives on stdin.
+RUN_ALONE = """
+import sys
+from mtlbal.harness import parse_config, result_to_json, run_experiment, run_single_task
+from mtlbal.metrics import trace_to_text
+config = parse_config(sys.stdin.read())
+result = run_single_task(config, 0) if sys.argv[1] == "single" else run_experiment(config)
+sys.stdout.write(trace_to_text(result.trace) + result_to_json(result))
+"""
 
 
 def fast_config(**kw):
@@ -156,6 +182,12 @@ class TestRunExperiment:
         assert info.value.iteration >= 0
         assert info.value.balancer_snapshot.startswith("balancer-state v1")
 
+    def test_non_finite_loss_abort_names_the_task(self):
+        with pytest.raises(NumericalAbort) as info:
+            run_experiment(NONFINITE)
+        assert info.value.iteration == 0
+        assert "loss for task 1 is not finite" in str(info.value)
+
     def test_symmetric_tasks_end_within_factor_two(self):
         tasks = tuple(TaskSpec("binary-bce", 1, 1.0, f"s{i}") for i in range(4))
         cfg = ExperimentConfig(
@@ -176,6 +208,69 @@ class TestBaselineEquivalence:
         for t in range(40):
             w = ema_update(state, frozen)
             assert combine(w, frozen) == pytest.approx(3.0, abs=1e-9)
+
+
+def fresh_buffer_losses(config, data, params, balancer):
+    """Each step's losses from a loop that draws one batch per call and
+    gives every step fresh buffers: the reference for buffer reuse."""
+    stream = SplitMix64(derive(config.seed, mtlbal.harness.BATCH_STREAM_TAG))
+    moments = network.init_moments(params)
+    k, out = len(data.specs), []
+    for t in range(config.iterations):
+        batch = data.batch(data.train_index[stream.below(data.train_index.size, config.batch_size)])
+        cache = network.forward_cache(params, batch.inputs)
+        losses = network.task_losses(params, cache, batch)
+        norms = None
+        if balancer.requires_grad_norms:
+            norms = network.shared_layer_grad_norms(params, batch, balancer.coefficients(k), cache)
+        weights = balancer.step(LossVector(losses, iteration=t), norms)
+        _, grads = network.backward(params, batch, weights, cache)
+        network.adam_step(params, grads, moments, t + 1, config.lr)
+        out.append(losses)
+    return out
+
+
+def setup_run(config):
+    specs = config.resolved_tasks()
+    data = mtlbal.harness._generate(config, specs)
+    params = network.init_params(config.seed, config.input_dim, config.trunk, config.head_hidden, specs)
+    return data, params, mtlbal.harness._make_balancer(config)
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("balancer", ["ema", "gradnorm"])
+    def test_logged_rows_hold_copies_equal_to_fresh_buffers(self, balancer):
+        # 70 steps cross a block of batch draws (64 steps).
+        config = fast_config(balancer=balancer, iterations=70, log_cadence=1)
+        data, params, bal = setup_run(config)
+        rows = mtlbal.harness._train(config, data, params, bal).rows
+        _, ref_params, ref_bal = setup_run(config)
+        expected = fresh_buffer_losses(config, data, ref_params, ref_bal)
+        assert len(rows) == len(expected) == 70
+        for row, want in zip(rows, expected):
+            assert np.array_equal(row.losses, want)
+        assert np.array_equal(params.vector, ref_params.vector)
+        arrays = [a for r in rows for a in (r.losses, r.weights, r.rates)]
+        if balancer == "ema":
+            arrays += bal.state.history
+            assert np.array_equal(bal.state.history[-1], rows[-1].losses)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+        for a, b in zip(rows, rows[1:]):
+            assert not np.array_equal(a.losses, b.losses)
+
+    def test_back_to_back_runs_match_runs_alone(self):
+        one_head = fast_config(balancer="baseline")
+        va = ExperimentConfig(scenario="va-mini", balancer="gradnorm", seed=4, **FAST)
+        together = [run_single_task(one_head, 0), run_experiment(va)]
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        for result, mode in zip(together, ["single", "run"]):
+            alone = subprocess.run(
+                [sys.executable, "-c", RUN_ALONE, mode],
+                input=config_to_text(result.config), capture_output=True, text=True,
+                env=env, timeout=120, check=True,
+            ).stdout
+            assert trace_to_text(result.trace) + result_to_json(result) == alone
 
 
 class TestSingleTask:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlbal.rng import SplitMix64
 from mtlbal.tasks import (
@@ -19,6 +21,39 @@ from mtlbal.tasks import (
 BIN = TaskSpec("binary-bce", 1, 1.0, "b0")
 REG = TaskSpec("regression-mse", 2, 1.0, "r0")
 CE = TaskSpec("multiclass-ce", 4, 1.0, "c0")
+
+KINDS = ("regression-mse", "binary-bce", "multiclass-ce")
+#: Fixed stream seed per loss kind, so a test draws the same values in every process.
+KIND_SEEDS = {"regression-mse": 101, "binary-bce": 202, "multiclass-ce": 303}
+
+
+def random_predictions(stream, kind, n, d):
+    """Predictions in the kind's range and matching targets for n rows."""
+    if kind == "regression-mse":
+        return stream.normal((n, d)), stream.normal((n, d))
+    if kind == "binary-bce":
+        return 0.05 + 0.9 * stream.uniform((n, 1)), (stream.uniform((n, 1)) > 0.5).astype(float)
+    p = 0.05 + stream.uniform((n, d))
+    return p / p.sum(axis=1, keepdims=True), stream.below(d, n)
+
+
+def reference_loss_and_grad(kind, p, y, loss_scale):
+    """One task's loss written with np.mean and np.clip, as the loss was
+    before head groups shared one call."""
+    if kind == "regression-mse":
+        diff = p - y
+        base, grad = float(np.mean(diff * diff)), (2.0 / diff.size) * diff
+    elif kind == "binary-bce":
+        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+        base = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))))
+        grad = (-y / pc + (1.0 - y) / (1.0 - pc)) / pc.size
+    else:
+        rows = np.arange(p.shape[0])
+        picked = np.clip(p[rows, y], 1e-12, 1.0 - 1e-12)
+        base = float(np.mean(-np.log(picked)))
+        grad = np.zeros_like(p)
+        grad[rows, y] = -1.0 / (p.shape[0] * picked)
+    return loss_scale * base, loss_scale * grad
 
 
 class TestTaskSpec:
@@ -106,23 +141,13 @@ class TestLossAndGrad:
         loss, _ = loss_and_grad("multiclass-ce", p, np.array([0, 1]))
         assert loss == pytest.approx(-(math.log(0.5) + math.log(0.8)) / 2, rel=1e-15)
 
-    @pytest.mark.parametrize("kind", ["regression-mse", "binary-bce", "multiclass-ce"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_gradient_matches_central_differences(self, kind):
-        stream = SplitMix64(abs(hash(kind)) & 0xFFFF)
+        stream = SplitMix64(KIND_SEEDS[kind])
         for trial in range(5):
-            n, d = 6, 3
-            if kind == "regression-mse":
-                p = stream.normal((n, d))
-                y = stream.normal((n, d))
-            elif kind == "binary-bce":
-                p = 0.05 + 0.9 * stream.uniform((n, 1))
-                y = (stream.uniform((n, 1)) > 0.5).astype(float)
-            else:
-                p = 0.05 + stream.uniform((n, d))
-                p /= p.sum(axis=1, keepdims=True)
-                y = stream.below(d, n)
+            p, y = random_predictions(stream, kind, 6, 3)
             scale = 1.0 + stream.uniform()
-            _, grad = loss_and_grad(kind, p, y, scale)
+            loss, grad = loss_and_grad(kind, p, y, scale)
             h = 1e-6
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
@@ -134,8 +159,27 @@ class TestLossAndGrad:
                     loss_and_grad(kind, plus, y, scale)[0]
                     - loss_and_grad(kind, minus, y, scale)[0]
                 ) / (2 * h)
-                denom = max(abs(fd), abs(grad[idx]), 1e-4)
-                assert abs(fd - grad[idx]) / denom < 1e-6
+                # Each loss is rounded to about |loss| * 2^-53, so the
+                # difference quotient carries up to |loss| * 2^-52 / h of
+                # rounding on top of the relative tolerance.
+                budget = 1e-6 * max(abs(fd), abs(grad[idx])) + abs(loss) * 2.0**-52 / h
+                assert abs(fd - grad[idx]) <= budget, (trial, idx)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stacked_call_equals_per_slice_calls(self, kind):
+        stream = SplitMix64(KIND_SEEDS[kind] + 1)
+        slices = [random_predictions(stream, kind, 9, 4) for _ in range(3)]
+        p = np.stack([s[0] for s in slices])
+        y = np.stack([s[1] for s in slices])
+        scales = np.array([0.5, 3.0 + stream.uniform(), 50.0])
+        losses, grads = loss_and_grad(kind, p, y, scales)
+        assert losses.shape == (3,) and grads.shape == p.shape
+        for i in range(3):
+            loss_i, grad_i = loss_and_grad(kind, p[i], y[i], scales[i])
+            assert isinstance(loss_i, float)
+            assert losses[i] == loss_i and np.array_equal(grads[i], grad_i)
+            ref_loss, ref_grad = reference_loss_and_grad(kind, p[i], y[i], scales[i])
+            assert loss_i == ref_loss and np.array_equal(grad_i, ref_grad)
 
     def test_scale_linearity_exact(self):
         stream = SplitMix64(31)
@@ -189,9 +233,67 @@ class TestDatasetSerialization:
         with pytest.raises(ValueError):
             dataset_from_text(text.replace("n_samples = 50", "n_samples = 49"))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace("seed = 9\n", "seed = 9\nseed = 99\n"), "duplicate"),
+            (lambda t: t.replace("seed = 9\n", "seed = 9\ncolour = red\n"), "unknown"),
+            (lambda t: t.replace("noise = ", "noize = "), "unknown"),
+            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1] + [999]), "split"),
+            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1] + [-1]), "split"),
+            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1] + [0]), "split"),
+            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1]), "split"),
+        ],
+        ids=["duplicate-key", "unknown-key", "renamed-key", "index-out-of-range",
+             "negative-index", "overlapping-index", "uncovered-row"],
+    )
+    def test_strict_header_and_split(self, edit, message):
+        text = dataset_to_text(generate_mtl(9, 3, 20, (BIN, CE), 0.4))
+        with pytest.raises(ValueError, match=message):
+            dataset_from_text(edit(text))
+
+    def test_class_labels_checked(self):
+        data = generate_mtl(9, 3, 20, (BIN, CE), 0.4)
+        lines = dataset_to_text(data).splitlines()
+        row = lines.index("data:") + 1
+        lines[row] = lines[row].rsplit(",", 1)[0] + ",4"
+        with pytest.raises(ValueError, match="class label"):
+            dataset_from_text("\n".join(lines) + "\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_damaged_export_raises_only_value_error(self, data):
+        lines = dataset_to_text(generate_mtl(9, 3, 30, (BIN, REG, CE), 0.4)).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["truncate", "drop", "duplicate", "replace", "cut"]))
+        if action == "truncate":
+            lines = lines[:i]
+        elif action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        elif action == "replace":
+            lines[i] = data.draw(st.text(alphabet="ab:;=, .0123456789-e", max_size=16))
+        else:
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+        try:
+            dataset_from_text("\n".join(lines) + "\n")
+        except ValueError:
+            pass
+
     def test_batch_view(self):
         data = generate_mtl(2, 4, 60, (BIN, CE), 0.4)
         batch = data.batch(np.array([3, 5, 8]))
         assert batch.inputs.shape == (3, 4)
         assert batch.targets[0].shape == (3, 1)
         assert batch.specs == data.specs
+
+
+def _edit_index(text, key, change):
+    """Apply `change` to the index list on the `key = ...` header line."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(f"{key} = "):
+            values = [int(v) for v in line.split(" = ", 1)[1].split(",")]
+            lines[i] = f"{key} = " + ",".join(str(v) for v in change(values))
+    return "\n".join(lines) + "\n"
