@@ -240,12 +240,14 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
         # Divergence shows up as inf/nan and is caught explicitly (LossVector
         # names the first non-finite task), so the float overflow that
         # precedes it is expected, not a warning. Finite but extreme losses
-        # can still overflow a balancer's weights; every ValueError from here
-        # on aborts this run, not the process.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                cache = network.forward_cache(params, batch.inputs, cache)
-                loss_vec = LossVector(network.task_losses(params, cache, batch), iteration=t)
+        # can still overflow a balancer's weights; every ValueError from the
+        # loss check on aborts this run, not the process. Errors before it
+        # (a malformed batch or parameters) propagate as they are.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cache = network.forward_cache(params, batch.inputs, cache)
+            raw_losses = network.task_losses(params, cache, batch)
+            try:
+                loss_vec = LossVector(raw_losses, iteration=t)
                 grad_norms = None
                 if balancer.requires_grad_norms:
                     grad_norms = network.shared_layer_grad_norms(
@@ -260,8 +262,8 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
                     network.adam_step(params, grads, moments, t + 1, config.lr)
                 else:
                     network.sgd_step(params, grads, config.lr)
-        except ValueError as exc:
-            raise NumericalAbort(t, snapshot(balancer), str(exc)) from exc
+            except ValueError as exc:
+                raise NumericalAbort(t, snapshot(balancer), str(exc)) from exc
 
         losses = loss_vec.values
         if t % config.log_cadence == 0 or t == config.iterations - 1:

@@ -15,8 +15,9 @@ parameter subset for gradient-norm balancing) feed both the grad-norm probe
 and the weighted trunk backward, and the weights multiply afterwards.
 
 A ForwardCache holds a run's step buffers, sized by the parameter layout
-and the batch size: forward, backward and Adam write into them, so a step
-allocates little beyond the loss, and each head group takes one loss call.
+and the batch size: forward and backward write into them, so a step
+allocates little beyond the loss and Adam's temporaries, and each head group
+takes one loss call.
 
 Parameters are single-owner during training; reductions over tasks run in
 task order, so a fixed seed gives a bitwise-identical trajectory.
@@ -129,11 +130,6 @@ class ModelParams:
         for g, tasks in enumerate(self.group_tasks):
             for i, k in enumerate(tasks):
                 self.slots[k] = (g, i)
-        # Each group's tasks as a slice when they are consecutive, else an index array.
-        self.group_index = [
-            slice(ts[0], ts[-1] + 1) if ts == tuple(range(ts[0], ts[-1] + 1)) else np.array(ts)
-            for ts in self.group_tasks
-        ]
 
         shapes = [s for i, o, _ in self.trunk_layers for s in ((i, o), (o,))]
         for tasks in self.group_tasks:
@@ -288,14 +284,12 @@ def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.nd
     d loss / d prediction. One loss call per head group."""
     if cache.losses is None:
         losses, cache.pred_grads = np.empty(params.n_tasks), []
-        for tasks, index, outputs in zip(params.group_tasks, params.group_index, cache.group_a):
+        for tasks, outputs in zip(params.group_tasks, cache.group_a):
             specs = [batch.specs[k] for k in tasks]
-            if len({s.kind for s in specs}) != 1:
-                raise ValueError(f"tasks {tasks} share a head group but not a loss kind")
             targets = np.concatenate([batch.targets[k] for k in tasks])
             targets = targets.reshape((len(tasks),) + np.shape(batch.targets[tasks[0]]))
             scales = np.array([s.loss_scale for s in specs])
-            losses[index], grad = loss_and_grad(specs[0].kind, outputs[-1], targets, scales)
+            losses[list(tasks)], grad = loss_and_grad(specs[0].kind, outputs[-1], targets, scales)
             cache.pred_grads.append(grad)
         cache.losses = losses
     return cache.losses
@@ -311,7 +305,7 @@ def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.nda
         if cache.unit is None:
             cache.unit = [[(np.empty_like(w), np.empty_like(b)) for w, b in ws] for ws in params.groups]
         for g, (tasks, weights) in enumerate(zip(params.group_tasks, params.groups)):
-            index, up = params.group_index[g], cache.pred_grads[g]
+            up = cache.pred_grads[g]
             zs, as_ = cache.group_z[g], cache.group_a[g]
             for i in range(len(weights) - 1, -1, -1):
                 act = params.head_layers[tasks[0]][i][2]
@@ -320,14 +314,9 @@ def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.nda
                 w = weights[i][0]
                 np.matmul(below.swapaxes(-1, -2), delta, out=cache.unit[g][i][0])
                 np.add.reduce(delta, axis=-2, out=cache.unit[g][i][1])
-                # A group of consecutive tasks passes its gradient straight into at_shared.
-                if i == 0 and isinstance(index, slice):
-                    out = at_shared[index]
-                else:
-                    out = cache.buffer(("up", g, i), delta.shape[:-1] + w.shape[1:2])
+                out = cache.buffer(("up", g, i), delta.shape[:-1] + w.shape[1:2])
                 up = np.matmul(delta, w.swapaxes(-1, -2), out=out)
-            if not isinstance(index, slice):
-                at_shared[index] = up
+            at_shared[list(tasks)] = up
         last = len(params.trunk) - 1
         z, act = cache.trunk_z[last], params.trunk_layers[last][2]
         cache.deltas = _backprop(cache, ("trunk", last), at_shared, z, cache.shared, act)
@@ -386,8 +375,8 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
         delta = _backprop(cache, ("trunk", i), up, z, cache.trunk_a[i], act)
         np.matmul(_trunk_input(cache, i).T, delta, out=grad.trunk[i][0])
         np.add.reduce(delta, axis=0, out=grad.trunk[i][1])
-    for index, unit, scaled_heads in zip(params.group_index, cache.unit, grad.groups):
-        w_g = w[index]
+    for tasks, unit, scaled_heads in zip(params.group_tasks, cache.unit, grad.groups):
+        w_g = w[list(tasks)]
         for (unit_w, unit_b), (grad_w, grad_b) in zip(unit, scaled_heads):
             np.multiply(w_g[:, None, None], unit_w, out=grad_w)
             np.multiply(w_g[:, None], unit_b, out=grad_b)
@@ -442,9 +431,8 @@ def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> None:
 
 
 def init_moments(params: ModelParams) -> np.ndarray:
-    """Adam's state in the parameter layout: the first and second moments in
-    rows 0 and 1, and rows 2 and 3 as `adam_step`'s scratch."""
-    return np.zeros((4, params.vector.size))
+    """Adam's first and second moments, rows 0 and 1, in the parameter layout."""
+    return np.zeros((2, params.vector.size))
 
 
 def adam_step(
@@ -458,18 +446,14 @@ def adam_step(
     eps: float = 1e-8,
 ) -> None:
     """Bias-corrected Adam update for step `t` (counted from 1), in place."""
-    m, v, tmp, update = moments
+    m, v = moments
     m *= beta1
-    np.multiply(grads, 1.0 - beta1, out=tmp)
-    m += tmp
+    m += (1.0 - beta1) * grads
     v *= beta2
-    np.square(grads, out=tmp)
-    tmp *= 1.0 - beta2
-    v += tmp
-    np.divide(v, 1.0 - beta2**t, out=tmp)
-    denom = np.sqrt(tmp, out=tmp)
+    v += (1.0 - beta2) * np.square(grads)
+    denom = np.sqrt(v / (1.0 - beta2**t))
     denom += eps
-    np.divide(m, 1.0 - beta1**t, out=update)
+    update = m / (1.0 - beta1**t)
     update *= lr
     update /= denom
     params.vector -= update

@@ -188,6 +188,16 @@ class TestRunExperiment:
         assert info.value.iteration == 0
         assert "loss for task 1 is not finite" in str(info.value)
 
+    def test_malformed_forward_is_not_a_numerical_abort(self):
+        # Parameters built for the wrong input width are a caller's bug: the
+        # forward pass's ValueError must surface as it is, not as divergence.
+        cfg = fast_config(iterations=2)
+        specs = cfg.resolved_tasks()
+        params = network.init_params(cfg.seed, cfg.input_dim + 1, cfg.trunk, cfg.head_hidden, specs)
+        data = mtlbal.harness._generate(cfg, specs)
+        with pytest.raises(ValueError, match="do not match input_dim"):
+            mtlbal.harness._train(cfg, data, params, mtlbal.harness._make_balancer(cfg))
+
     def test_symmetric_tasks_end_within_factor_two(self):
         tasks = tuple(TaskSpec("binary-bce", 1, 1.0, f"s{i}") for i in range(4))
         cfg = ExperimentConfig(
