@@ -27,6 +27,7 @@ from .balancers import (
     LossVector,
     combine,
     make_balancer,
+    rate_ratios,
     snapshot,
 )
 from .metrics import (
@@ -40,6 +41,7 @@ from .metrics import (
 )
 from .rng import SplitMix64, derive
 from .tasks import Dataset, TaskSpec, generate_mtl, loss_and_grad, specs_from_text, specs_to_text
+from .textio import fmt
 
 #: Purpose tag for the batch-sampling stream.
 BATCH_STREAM_TAG = 0xBA7C
@@ -110,6 +112,7 @@ class ExperimentConfig:
     name: str | None = None
 
     def validate(self) -> None:
+        # Range checks are written so that NaN fails them.
         if self.balancer not in BALANCER_NAMES:
             raise ConfigError(f"balancer must be one of {BALANCER_NAMES}, got {self.balancer!r}")
         if bool(self.scenario) == bool(self.tasks):
@@ -118,12 +121,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; have {sorted(SCENARIOS)}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.balancer_lr <= 0 or self.lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (self.balancer_lr > 0 and self.lr > 0):
+            raise ConfigError(f"lr and balancer_lr must be positive, got {self.lr}, {self.balancer_lr}")
         if self.dwema_mode not in ("divide", "multiply"):
             raise ConfigError(f"dwema_mode must be 'divide' or 'multiply', got {self.dwema_mode!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -136,8 +139,13 @@ class ExperimentConfig:
             raise ConfigError("trunk needs at least one positive layer size")
         if any(s < 1 for s in self.head_hidden):
             raise ConfigError("head_hidden sizes must be positive")
-        if self.input_dim < 2 or self.n_samples < 1:
-            raise ConfigError("input_dim must be >= 2 and n_samples positive")
+        if self.input_dim < 2:
+            raise ConfigError(f"input_dim must be >= 2, got {self.input_dim}")
+        floor = 10 * len(self.resolved_tasks())
+        if self.n_samples < floor:
+            raise ConfigError(f"n_samples must be >= 10 per task ({floor}), got {self.n_samples}")
+        if self.latent_dim is not None and self.latent_dim < 1:
+            raise ConfigError(f"latent_dim must be positive, got {self.latent_dim}")
         if not 0.0 <= self.relatedness <= 1.0:
             raise ConfigError(f"relatedness must be in [0, 1], got {self.relatedness}")
 
@@ -227,8 +235,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
     n_train, size = data.train_index.size, config.batch_size
     moments = network.init_moments(params) if config.optimizer == "adam" else None
     cache = None  # the run's step buffers, allocated by the first forward
-    prev_losses: np.ndarray | None = None
-    prev2_losses: np.ndarray | None = None
+    recent: list = []  # the losses of the two previous steps, oldest first
 
     for t in range(config.iterations):
         # The stream is counter-based, so a block of draws is the same
@@ -267,10 +274,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
 
         losses = loss_vec.values
         if t % config.log_cadence == 0 or t == config.iterations - 1:
-            if prev_losses is not None and prev2_losses is not None:
-                rates = prev_losses / np.maximum(prev2_losses, EPS_FLOOR)
-            else:
-                rates = np.ones(k)
+            rates = rate_ratios(recent, k)
             trace.append(
                 TraceRow(
                     iteration=t,
@@ -281,8 +285,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
                     weighted_total=total,
                 )
             )
-        prev2_losses = prev_losses
-        prev_losses = losses
+        recent = recent[-1:] + [losses]
     return trace
 
 
@@ -475,18 +478,14 @@ class ComparisonReport:
                 str(s.n_seeds),
                 str(s.n_failed),
                 str(s.wins),
-                _opt(s.composite_mean),
-                _opt(s.composite_std),
-                _opt(s.spikiness_mean),
-                _opt(s.norm_spread_median),
-                _opt(s.dominated_norm_loss_median),
-            ] + [_opt(v) for v in s.task_metric_means]
+                fmt(s.composite_mean),
+                fmt(s.composite_std),
+                fmt(s.spikiness_mean),
+                fmt(s.norm_spread_median),
+                fmt(s.dominated_norm_loss_median),
+            ] + [fmt(v) for v in s.task_metric_means]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-
-def _opt(value) -> str:
-    return "" if value is None else f"{float(value):.17g}"
 
 
 def _dominant_index(specs) -> int | None:
@@ -637,13 +636,13 @@ class SweepReport:
                 ",".join(
                     [
                         self.parameter,
-                        f"{float(value):.17g}",
+                        fmt(value),
                         str(summary.n_seeds),
                         str(summary.n_failed),
                         str(summary.wins),
-                        _opt(summary.composite_mean),
-                        _opt(summary.composite_std),
-                        _opt(summary.spikiness_mean),
+                        fmt(summary.composite_mean),
+                        fmt(summary.composite_std),
+                        fmt(summary.spikiness_mean),
                     ]
                 )
             )
@@ -715,38 +714,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    """Canonical echo of a config; parse_config inverts it."""
+    """Canonical echo of a config: one line per set field, in field order
+    (None fields and empty tasks are left out); parse_config inverts it."""
     lines = []
-    if config.scenario is not None:
-        lines.append(f"scenario = {config.scenario}")
-    if config.tasks:
-        lines.append(f"tasks = {specs_to_text(config.tasks)}")
-    lines += [
-        f"input_dim = {config.input_dim}",
-        f"n_samples = {config.n_samples}",
-        f"relatedness = {config.relatedness:.17g}",
-    ]
-    if config.latent_dim is not None:
-        lines.append(f"latent_dim = {config.latent_dim}")
-    lines += [
-        f"balancer = {config.balancer}",
-        f"beta = {config.beta:.17g}",
-        f"temperature = {config.temperature:.17g}",
-        f"alpha = {config.alpha:.17g}",
-        f"balancer_lr = {config.balancer_lr:.17g}",
-        f"dwema_mode = {config.dwema_mode}",
-        "trunk = " + ",".join(str(s) for s in config.trunk),
-        "head_hidden = " + ",".join(str(s) for s in config.head_hidden),
-        f"optimizer = {config.optimizer}",
-        f"lr = {config.lr:.17g}",
-        f"iterations = {config.iterations}",
-        f"batch_size = {config.batch_size}",
-        f"seed = {config.seed}",
-        f"log_cadence = {config.log_cadence}",
-        f"out_dir = {config.out_dir}",
-    ]
-    if config.name is not None:
-        lines.append(f"name = {config.name}")
+    for fld in dataclasses.fields(config):
+        key, value = fld.name, getattr(config, fld.name)
+        if value is None or (key == "tasks" and not value):
+            continue
+        if key == "tasks":
+            value = specs_to_text(value)
+        elif key in _TUPLE_KEYS:
+            value = ",".join(str(s) for s in value)
+        elif key in _FLOAT_KEYS:
+            value = fmt(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancers import EPS_FLOOR
+from .textio import fmt, fmt_vec
 
 
 def f1_binary(predictions, labels) -> float:
@@ -167,10 +168,6 @@ def coefficient_spikiness(trace) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def trace_to_text(trace: Trace) -> str:
     """Column order: iteration, loss_*, weight_*, rate_* (task order),
     rate_std, weighted_total."""
@@ -186,10 +183,8 @@ def trace_to_text(trace: Trace) -> str:
     for r in trace.rows:
         cells = (
             [str(r.iteration)]
-            + [_fmt(v) for v in r.losses]
-            + [_fmt(v) for v in r.weights]
-            + [_fmt(v) for v in r.rates]
-            + [_fmt(r.rate_std), _fmt(r.weighted_total)]
+            + [fmt_vec(r.losses), fmt_vec(r.weights), fmt_vec(r.rates)]
+            + [fmt(r.rate_std), fmt(r.weighted_total)]
         )
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

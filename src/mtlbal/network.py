@@ -31,6 +31,7 @@ import numpy as np
 
 from .rng import SplitMix64, derive
 from .tasks import Batch, loss_and_grad
+from .textio import Fields, fmt_vec, parse_vec
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "softmax")
 
@@ -466,10 +467,6 @@ def adam_step(
 _CHECKPOINT_HEADER = "model-checkpoint v1"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def params_to_text(params: ModelParams) -> str:
     lines = [_CHECKPOINT_HEADER, f"heads = {params.n_tasks}"]
 
@@ -477,8 +474,8 @@ def params_to_text(params: ModelParams) -> str:
         lines.append(f"{prefix}.layers = {len(specs)}")
         for i, ((fan_in, fan_out, act), (w, b)) in enumerate(zip(specs, views)):
             lines.append(f"{prefix}{i} = {act} {fan_in} {fan_out}")
-            lines.append(f"{prefix}{i}.weight = " + ",".join(_fmt(v) for v in w.ravel()))
-            lines.append(f"{prefix}{i}.bias = " + ",".join(_fmt(v) for v in b))
+            lines.append(f"{prefix}{i}.weight = {fmt_vec(w.ravel())}")
+            lines.append(f"{prefix}{i}.bias = {fmt_vec(b)}")
 
     emit("trunk", params.trunk_layers, params.trunk)
     for k in range(params.n_tasks):
@@ -488,37 +485,15 @@ def params_to_text(params: ModelParams) -> str:
 
 def params_from_text(text: str) -> ModelParams:
     """Inverse of `params_to_text`; any malformed input raises ValueError."""
-    lines = text.splitlines()
-    if not lines or lines[0] != _CHECKPOINT_HEADER:
-        raise ValueError("not a model checkpoint (missing header)")
-    fields: dict[str, str] = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        key, sep, value = ln.partition(" = ")
-        if not sep:
-            raise ValueError(f"malformed checkpoint line: {ln!r}")
-        if key in fields:
-            raise ValueError(f"duplicate checkpoint key {key!r}")
-        fields[key] = value
-    unread = set(fields)
+    fields = Fields(text.splitlines(), _CHECKPOINT_HEADER, "model checkpoint")
 
-    def get(key: str) -> str:
-        if key not in fields:
-            raise ValueError(f"checkpoint is missing key {key!r}")
-        unread.discard(key)
-        return fields[key]
-
-    def floats(key: str, count: int) -> list:
-        values = [float(v) for v in get(key).split(",")]
-        if len(values) != count:
-            raise ValueError(f"{key!r} has {len(values)} values, expected {count}")
-        return values
+    def floats(key: str, count: int) -> np.ndarray:
+        return parse_vec(fields.get(key), count, key)
 
     def read(prefix: str):
         specs, values = [], []
-        for i in range(int(get(f"{prefix}.layers"))):
-            parts = get(f"{prefix}{i}").split()
+        for i in range(int(fields.get(f"{prefix}.layers"))):
+            parts = fields.get(f"{prefix}{i}").split()
             if len(parts) != 3:
                 raise ValueError(f"malformed layer line for {prefix}{i}: {parts}")
             fan_in, fan_out = int(parts[1]), int(parts[2])
@@ -529,12 +504,11 @@ def params_from_text(text: str) -> ModelParams:
 
     trunk, values = read("trunk")
     heads = []
-    for k in range(int(get("heads"))):
+    for k in range(int(fields.get("heads"))):
         specs, head_values = read(f"head{k}.")
         heads.append(specs)
         values += head_values
-    if unread:
-        raise ValueError(f"unknown checkpoint keys {sorted(unread)}")
+    fields.finish()
     params = ModelParams(trunk, heads)
     arrays = [a for w, b in params.trunk for a in (w, b)]
     arrays += [a for k in range(params.n_tasks) for w, b in params.head(k) for a in (w, b)]

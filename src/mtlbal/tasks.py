@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import SplitMix64, derive
+from .textio import Fields, fmt, fmt_vec
 
 TASK_KINDS = ("regression-mse", "binary-bce", "multiclass-ce")
 
@@ -211,6 +212,8 @@ def loss_and_grad(
             raise ValueError(f"predictions {p.shape[1:]} are not (batch, classes)")
         n, rows, classes = p.shape
         y = np.asarray(targets).reshape(n, -1)
+        if y.dtype.kind not in "iu":
+            raise ValueError(f"class labels must be integers, got dtype {y.dtype}")
         if y.shape[1] != rows:
             raise ValueError(f"predictions {p.shape} do not match {y.size} class labels")
         if np.minimum.reduce(y, axis=None) < 0 or np.maximum.reduce(y, axis=None) >= classes:
@@ -238,14 +241,6 @@ _DATASET_KEYS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _spec_to_text(spec: TaskSpec) -> str:
-    return f"{spec.kind}:{spec.output_dim}:{_fmt(spec.loss_scale)}:{spec.name}"
-
-
 def _spec_from_text(text: str) -> TaskSpec:
     parts = text.split(":")
     if len(parts) != 4:
@@ -254,7 +249,7 @@ def _spec_from_text(text: str) -> TaskSpec:
 
 
 def specs_to_text(specs) -> str:
-    return "; ".join(_spec_to_text(s) for s in specs)
+    return "; ".join(f"{s.kind}:{s.output_dim}:{fmt(s.loss_scale)}:{s.name}" for s in specs)
 
 
 def specs_from_text(text: str) -> tuple:
@@ -268,21 +263,21 @@ def dataset_to_text(data: Dataset) -> str:
         f"seed = {data.seed}",
         f"input_dim = {data.input_dim}",
         f"n_samples = {data.n_samples}",
-        f"relatedness = {_fmt(data.relatedness)}",
+        f"relatedness = {fmt(data.relatedness)}",
         f"latent_dim = {data.latent_dim}",
-        f"noise = {_fmt(data.noise)}",
+        f"noise = {fmt(data.noise)}",
         f"tasks = {specs_to_text(data.specs)}",
         "train_index = " + ",".join(str(i) for i in data.train_index),
         "test_index = " + ",".join(str(i) for i in data.test_index),
         "data:",
     ]
     for i in range(data.n_samples):
-        cells = [_fmt(v) for v in data.inputs[i]]
+        cells = [fmt_vec(data.inputs[i])]
         for spec, block in zip(data.specs, data.targets):
             if spec.kind == "multiclass-ce":
                 cells.append(str(int(block[i])))
             else:
-                cells.extend(_fmt(v) for v in np.atleast_1d(block[i]))
+                cells.append(fmt_vec(np.atleast_1d(block[i])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -293,24 +288,13 @@ def dataset_from_text(text: str) -> Dataset:
     a class label out of range, or indices that do not split the rows into
     train and test, each row once) raises ValueError."""
     lines = text.splitlines()
-    if not lines or lines[0] != _DATASET_HEADER:
-        raise ValueError("not a dataset export (missing header)")
-    header: dict[str, str] = {}
-    for idx, ln in enumerate(lines[1:], start=1):
-        if ln == "data:":
-            row_start = idx + 1
-            break
-        key, sep, value = ln.partition(" = ")
-        if not sep:
-            raise ValueError(f"malformed dataset header line: {ln!r}")
-        if key in header:
-            raise ValueError(f"duplicate dataset key {key!r}")
-        if key not in _DATASET_KEYS:
-            raise ValueError(f"unknown dataset key {key!r}")
-        header[key] = value
-    else:
+    if "data:" not in lines:
         raise ValueError("dataset export has no data section")
-    missing = [key for key in _DATASET_KEYS if key not in header]
+    row_start = lines.index("data:") + 1
+    fields = Fields(lines[: row_start - 1], _DATASET_HEADER, "dataset export")
+    header = {key: fields.opt(key) for key in _DATASET_KEYS}
+    fields.finish()  # unknown keys first: a misspelt key is reported as such
+    missing = [key for key, value in header.items() if value is None]
     if missing:
         raise ValueError(f"dataset header missing keys {missing}")
 

@@ -4,29 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlbal.balancers import (
     EPS_FLOOR,
-    BaselineBalancer,
-    DwaState,
-    DwemaState,
+    Baseline,
+    Dwa,
+    Dwema,
     EmaState,
     GradNormState,
     LossVector,
+    Rema,
     UwState,
     WeightVector,
     combine,
     dwa_coefficients,
-    dwa_weights,
-    dwema_weights,
     ema_update,
-    gradnorm_capture_initial,
     gradnorm_step,
     make_balancer,
-    rema_weights,
+    rate_ratios,
     restore,
     snapshot,
-    training_rates,
     uw_combine,
 )
 from mtlbal.rng import SplitMix64
@@ -111,27 +110,25 @@ class TestEmaUpdate:
 
 class TestTrainingRates:
     def test_direct_ratio(self):
-        state = EmaState(beta=0.5, k=1, history=[np.array([2.0]), np.array([1.0])])
-        assert training_rates(state).tolist() == [0.5]
+        assert rate_ratios([np.array([2.0]), np.array([1.0])], 1).tolist() == [0.5]
 
     def test_empty_history_convention(self):
-        assert training_rates(EmaState(beta=0.5, k=3)).tolist() == [1.0, 1.0, 1.0]
+        assert rate_ratios([], 3).tolist() == [1.0, 1.0, 1.0]
 
     def test_one_entry_history_convention(self):
-        state = DwaState(temperature=1.0, history=[np.array([4.0, 2.0])])
-        assert training_rates(state).tolist() == [1.0, 1.0]
+        assert rate_ratios([np.array([4.0, 2.0])], 2).tolist() == [1.0, 1.0]
 
     def test_constant_stream_rates_exactly_one(self):
-        state = DwaState(temperature=1.0)
+        state = Dwa(temperature=1.0)
         for t in range(4):
-            dwa_weights(state, lv([0.7, 0.3], t))
-        assert training_rates(state).tolist() == [1.0, 1.0]
+            state.step(lv([0.7, 0.3], t))
+        assert rate_ratios(state.history, state.k).tolist() == [1.0, 1.0]
 
 
 class TestDwaWeights:
     def test_equal_rates_give_exactly_one(self):
-        state = DwaState(temperature=0.7)
-        w = dwa_weights(state, lv([1.0, 2.0, 3.0]))
+        state = Dwa(temperature=0.7)
+        w = state.step(lv([1.0, 2.0, 3.0]))
         assert w.values.tolist() == [1.0, 1.0, 1.0]
 
     def test_hand_evaluated_softmax(self):
@@ -147,9 +144,9 @@ class TestDwaWeights:
 
     def test_sum_is_task_count_for_random_streams(self):
         stream = SplitMix64(21)
-        state = DwaState(temperature=0.5)
+        state = Dwa(temperature=0.5)
         for t in range(50):
-            w = dwa_weights(state, lv(0.1 + stream.uniform(5), t))
+            w = state.step(lv(0.1 + stream.uniform(5), t))
             assert abs(w.values.sum() - 5.0) < 1e-9
 
     def test_spread_strictly_shrinks_as_temperature_grows(self):
@@ -167,58 +164,58 @@ class TestDwaWeights:
 
 class TestRemaWeights:
     def test_constant_stream_reduces_to_reciprocal(self):
-        state = EmaState(beta=0.4)
+        state = Rema(beta=0.4)
         c = np.array([2.0, 0.5])
         for t in range(60):
-            w = rema_weights(state, lv(c, t))
+            w = state.step(lv(c, t))
         np.testing.assert_allclose(w.values * c, 1.0, atol=1e-12)
 
     def test_hand_evaluated_rate_times_reciprocal(self):
         # beta=1, history (4, 2), current 2: rate 0.5, ema 2, weight 0.25.
-        state = EmaState(beta=1.0)
-        rema_weights(state, lv([4.0]))
-        rema_weights(state, lv([2.0]))
-        w = rema_weights(state, lv([2.0]))
+        state = Rema(beta=1.0)
+        state.step(lv([4.0]))
+        state.step(lv([2.0]))
+        w = state.step(lv([2.0]))
         assert w.values.tolist() == [0.25]
         assert combine(w, lv([2.0])) == 0.5
 
     def test_startup_identical_to_ema_update(self):
         losses = [3.0, 0.2]
-        a, b = EmaState(beta=0.3), EmaState(beta=0.3)
-        assert np.array_equal(rema_weights(a, lv(losses)).values, ema_update(b, lv(losses)).values)
+        a, b = Rema(beta=0.3), EmaState(beta=0.3)
+        assert np.array_equal(a.step(lv(losses)).values, ema_update(b, lv(losses)).values)
 
 
 class TestDwemaWeights:
     def test_symmetric_rates_and_common_average(self):
-        state = DwemaState(beta=0.5, temperature=1.3)
-        w = dwema_weights(state, lv([2.0, 2.0]))
+        state = Dwema(beta=0.5, temperature=1.3)
+        w = state.step(lv([2.0, 2.0]))
         assert w.values.tolist() == [0.5, 0.5]
 
     def test_hand_evaluated_startup(self):
         # Startup rates are 1 so the softmax coefficient is exactly 1;
         # beta=1 makes the average the current loss.
-        state = DwemaState(beta=1.0, temperature=0.77)
-        w = dwema_weights(state, lv([1.0, 4.0]))
+        state = Dwema(beta=1.0, temperature=0.77)
+        w = state.step(lv([1.0, 4.0]))
         assert w.values.tolist() == [1.0, 0.25]
 
     def test_reduces_to_ema_for_equal_rates(self):
         # Rates equal but not 1: the dwa coefficient is still exactly 1.
         seq = [np.array([2.0, 4.0]), np.array([1.0, 2.0]), np.array([1.0, 2.0])]
-        dw_state = DwemaState(beta=0.3, temperature=0.9)
+        dw_state = Dwema(beta=0.3, temperature=0.9)
         ema_state = EmaState(beta=0.3)
         for t, vals in enumerate(seq):
-            got = dwema_weights(dw_state, lv(vals, t))
+            got = dw_state.step(lv(vals, t))
             want = ema_update(ema_state, lv(vals, t))
         assert np.array_equal(got.values, want.values)
 
     def test_multiply_mode_scales_by_average(self):
-        state = DwemaState(beta=1.0, temperature=1.0, mode="multiply")
-        w = dwema_weights(state, lv([1.0, 4.0]))
+        state = Dwema(beta=1.0, temperature=1.0, mode="multiply")
+        w = state.step(lv([1.0, 4.0]))
         assert w.values.tolist() == [1.0, 4.0]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            DwemaState(beta=0.5, temperature=1.0, mode="average")
+            Dwema(beta=0.5, temperature=1.0, mode="average")
 
 
 class TestUwCombine:
@@ -254,7 +251,7 @@ class TestUwCombine:
 class TestGradNorm:
     def make_state(self, coeffs=(1.0, 1.0), initial=(1.0, 1.0), alpha=1.5, lr=0.025):
         state = GradNormState(coeffs=np.array(coeffs, dtype=float), alpha=alpha, learning_rate=lr)
-        gradnorm_capture_initial(state, lv(initial))
+        state.step(lv(initial))  # the first step captures the reference losses
         return state
 
     def test_balanced_norms_leave_coefficients_unchanged(self):
@@ -326,7 +323,7 @@ class TestGradNorm:
     def test_zero_initial_loss_clamped_with_warning(self, caplog):
         state = GradNormState(coeffs=np.ones(2))
         with caplog.at_level("WARNING"):
-            gradnorm_capture_initial(state, lv([0.0, 1.0]))
+            state.step(lv([0.0, 1.0]))
         assert "clamping" in caplog.text
         assert state.initial_losses[0] == EPS_FLOOR
 
@@ -377,9 +374,7 @@ class TestScaleEquivariance:
         base = grid_stream(stream, (3, 5))
         scaled = base.copy()
         scaled[:, 0] *= 1e4
-        a = EmaState(beta=0.5, history=[base[0], base[1]])
-        b = EmaState(beta=0.5, history=[scaled[0], scaled[1]])
-        assert np.array_equal(training_rates(a), training_rates(b))
+        assert np.array_equal(rate_ratios(base[:2], 5), rate_ratios(scaled[:2], 5))
 
 
 class TestDeterminism:
@@ -447,16 +442,106 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError):
             restore(text)
 
+    EMA_SNAPSHOT = (
+        "balancer-state v1\nmethod = ema\niteration = 1\nbeta = 0.5\nk = 2\n"
+        "initialized = true\nema = 1,2\nhistory0 = 1,2\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("ema = 1,2", "ema = 1,2,3"),
+            ("history0 = 1,2", "history0 = 1"),
+            ("k = 2", "k = -1"),
+            ("k = 2\n", ""),
+            ("iteration = 1", "iteration = -5"),
+            ("history0", "history1"),
+            ("history0 = 1,2", "history0 = 1,2\nhistory1 = 3,4\nhistory2 = 5,6"),
+            ("initialized = true", "initialized = false"),
+            ("initialized = true", "initialized = yes"),
+            ("ema = 1,2\n", ""),
+            ("beta = 0.5", "beta = nan"),
+            ("method = ema", "method = uw"),
+        ],
+        ids=["ema-longer-than-k", "history-shorter-than-k", "negative-k", "arrays-without-k",
+             "negative-iteration", "history1-without-history0", "third-history-entry",
+             "uninitialized-with-ema", "bad-initialized", "initialized-without-ema", "nan-beta",
+             "keys-of-another-method"],
+    )
+    def test_inconsistent_snapshots_rejected(self, old, new):
+        restore(self.EMA_SNAPSHOT)
+        with pytest.raises(ValueError, match="malformed balancer snapshot"):
+            restore(self.EMA_SNAPSHOT.replace(old, new))
+
+    def test_non_finite_state_restored(self):
+        # A snapshot taken at a numerical abort can hold an overflowed average.
+        clone = restore(self.EMA_SNAPSHOT.replace("ema = 1,2", "ema = inf,nan"))
+        assert np.isinf(clone.ema[0]) and np.isnan(clone.ema[1])
+        assert snapshot(clone) == self.EMA_SNAPSHOT.replace("ema = 1,2", "ema = inf,nan")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_snapshot_raises_only_value_error(self, data):
+        method = data.draw(st.sampled_from(self.METHODS))
+        bal = make_balancer(method, dwema_mode=data.draw(st.sampled_from(["divide", "multiply"])))
+        self.drive(bal, SplitMix64(3), data.draw(st.integers(0, 3)))
+        lines = snapshot(bal).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["truncate", "drop", "duplicate", "replace", "cut"]))
+        if action == "truncate":
+            lines = lines[:i]
+        elif action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        elif action == "replace":
+            lines[i] = data.draw(st.text(alphabet="abeiklmnorstuy01234567=,.-+ ", max_size=24))
+        else:
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+        try:
+            clone = restore("\n".join(lines) + "\n")
+        except ValueError:
+            return
+        # What restores also steps, or raises ValueError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                self.drive(clone, SplitMix64(4), 2)
+            except ValueError:
+                pass
+
     def test_full_precision_of_state_arrays(self):
         bal = make_balancer("ema", beta=0.1)
         bal.step(lv([1.0 / 3.0, 2.0 / 7.0]))
         clone = restore(snapshot(bal))
-        assert np.array_equal(clone.state.ema, bal.state.ema)
+        assert np.array_equal(clone.ema, bal.ema)
+
+
+class TestExtremeLossStreams:
+    @pytest.mark.parametrize("method", TestSnapshotRestore.METHODS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_weights_finite_positive_or_value_error(self, method, data):
+        # Losses and norms anywhere from 1e-300 to 1e300 (and zero), stepped
+        # under the training loop's errstate: a step returns finite positive
+        # weights or raises ValueError, nothing else.
+        k = data.draw(st.integers(1, 4))
+        value = st.one_of(st.just(0.0), st.floats(-300, 300).map(lambda e: 10.0**e))
+        vector = st.lists(value, min_size=k, max_size=k).map(np.array)
+        bal = make_balancer(method)
+        for t in range(data.draw(st.integers(1, 10))):
+            losses = lv(data.draw(vector), t)
+            norms = data.draw(vector) if bal.requires_grad_norms else None
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    weights = bal.step(losses, norms)
+                except ValueError:
+                    continue
+            assert np.isfinite(weights.values).all() and (weights.values > 0).all()
 
 
 class TestBaseline:
     def test_equal_weights_and_dimension_latch(self):
-        bal = BaselineBalancer()
+        bal = Baseline()
         assert bal.step(lv([5.0, 1.0])).values.tolist() == [1.0, 1.0]
         with pytest.raises(ValueError):
             bal.step(lv([1.0]))

@@ -131,6 +131,23 @@ class TestRunCommand:
         assert "numerical abort" in proc.stderr and "loss for task 1 is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "setting", ["n_samples = 20", "latent_dim = 0", "lr = nan", "balancer_lr = nan",
+                    "temperature = nan", "alpha = nan"],
+    )
+    def test_invalid_setting_exits_one_without_traceback(self, tmp_path, setting):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONFIG + setting + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr and setting.split()[0] in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCompareCommand:
     def test_writes_table_and_is_byte_identical_across_invocations(self, config_file, tmp_path):

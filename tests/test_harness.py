@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtlbal.harness
 from mtlbal import network
@@ -90,6 +92,12 @@ class TestConfig:
             (dict(log_cadence=0), "log_cadence|batch_size"),
             (dict(trunk=()), "trunk"),
             (dict(relatedness=2.0), "relatedness"),
+            (dict(n_samples=79), "n_samples"),
+            (dict(latent_dim=0), "latent_dim"),
+            (dict(temperature=float("nan")), "temperature"),
+            (dict(alpha=float("nan")), "alpha"),
+            (dict(lr=float("nan")), "lr"),
+            (dict(balancer_lr=float("nan")), "balancer_lr"),
         ]:
             with pytest.raises(ConfigError, match=match):
                 fast_config(**kw).validate()
@@ -134,6 +142,39 @@ class TestConfig:
             head_hidden=(),
         )
         assert parse_config(config_to_text(inline)) == inline
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_raises_only_config_error(self, data):
+        cfg = fast_config(tasks=(TaskSpec("binary-bce", 1, 2.0, "b"), TaskSpec("multiclass-ce", 3)),
+                          scenario=None, latent_dim=3, name="n")
+        lines = config_to_text(cfg).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["drop", "duplicate", "value", "line", "cut"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        elif action == "value":
+            # At most three characters, so that a config that parses stays small.
+            value = data.draw(st.one_of(
+                st.sampled_from(["nan", "inf", "-inf", "1e400", "", "1,2", "0.5"]),
+                st.integers(-2, 40).map(str),
+                st.text(alphabet="0123456789.-e,:;nai xbr", max_size=3),
+            ))
+            lines[i] = lines[i].split(" = ")[0] + " = " + value
+        elif action == "line":
+            lines[i] = data.draw(st.text(alphabet="abn_=:;,.-0123456789 #", max_size=16))
+        else:
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+        try:
+            parsed = parse_config("\n".join(lines) + "\n")
+        except ConfigError:
+            return
+        # A config that validates can be set up: data and parameters.
+        specs = parsed.resolved_tasks()
+        mtlbal.harness._generate(parsed, specs)
+        network.init_params(parsed.seed, parsed.input_dim, parsed.trunk, parsed.head_hidden, specs)
 
     def test_parse_comments_and_blanks(self):
         cfg = parse_config("# comment\n\nscenario = va-mini\nbalancer = dwa\n")
@@ -262,8 +303,8 @@ class TestStepBuffers:
         assert np.array_equal(params.vector, ref_params.vector)
         arrays = [a for r in rows for a in (r.losses, r.weights, r.rates)]
         if balancer == "ema":
-            arrays += bal.state.history
-            assert np.array_equal(bal.state.history[-1], rows[-1].losses)
+            arrays += bal.history
+            assert np.array_equal(bal.history[-1], rows[-1].losses)
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
         for a, b in zip(rows, rows[1:]):

@@ -210,6 +210,11 @@ class TestLossAndGrad:
         with pytest.raises(ValueError):
             loss_and_grad("regression-mse", np.zeros((2, 2)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])])
+    def test_non_integer_class_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="class labels must be integers"):
+            loss_and_grad("multiclass-ce", np.full((2, 3), 1 / 3), labels)
+
 
 class TestDatasetSerialization:
     def test_roundtrip_is_exact(self):
