@@ -386,24 +386,24 @@ def gradnorm_step(state: GradNorm, losses: LossVector, grad_norms: np.ndarray) -
 
 _CLASSES = {cls.method: cls for cls in (Baseline, Ema, Rema, Dwema, Dwa, Uw, GradNorm)}
 BALANCER_NAMES = tuple(_CLASSES)
+_HYPER_NAMES = {name for cls in _CLASSES.values() for name in cls.hyper}
 
 
-def make_balancer(
-    name: str,
-    *,
-    beta: float = 0.1,
-    temperature: float = 0.5,
-    alpha: float = 1.5,
-    learning_rate: float = 0.025,
-    dwema_mode: str = "divide",
-) -> Balancer:
-    """Construct a balancer by its config name with the hyperparameters it declares."""
+def make_balancer(name: str, **hyper) -> Balancer:
+    """Construct a balancer by its config name.
+
+    Takes any hyperparameter some method declares (`dwema_mode` names
+    `mode`); the named method ignores those it does not declare and takes
+    its declared default for each one left out.
+    """
     if name not in _CLASSES:
         raise ValueError(f"unknown balancer {name!r}; expected one of {BALANCER_NAMES}")
+    if "dwema_mode" in hyper:
+        hyper["mode"] = hyper.pop("dwema_mode")
+    if unknown := sorted(set(hyper) - _HYPER_NAMES):
+        raise TypeError(f"make_balancer got unexpected arguments {unknown}")
     cls = _CLASSES[name]
-    given = dict(beta=beta, temperature=temperature, alpha=alpha, learning_rate=learning_rate)
-    given["mode"] = dwema_mode
-    return cls(**{h: given[h] for h in cls.hyper})
+    return cls(**{h: v for h, v in hyper.items() if h in cls.hyper})
 
 
 # ---------------------------------------------------------------------------

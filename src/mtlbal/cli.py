@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -41,64 +42,67 @@ def _load_config(path: str) -> harness.ExperimentConfig:
     return harness.parse_config(text)
 
 
-def _write_run_outputs(result: harness.RunResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.csv").write_text(trace_to_text(result.trace))
-    (out_dir / "result.json").write_text(harness.result_to_json(result))
-    (out_dir / "config.echo").write_text(harness.config_to_text(result.config))
+def _out_dir(args, config: harness.ExperimentConfig) -> Path:
+    """The output directory, checked before any training: its nearest
+    existing ancestor must be a directory this process can write to."""
+    out_dir = Path(args.out or config.out_dir)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write output directory {str(out_dir)!r}")
+    return out_dir
+
+
+def _write(out_dir: Path, files: dict) -> None:
+    """Write each named text into `out_dir`, created if missing."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {str(out_dir)!r}: {exc}") from exc
 
 
 def _cmd_run(args) -> int:
+    """`run` and `single-task`: train, then write the run's outputs."""
     config = _load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    out_dir = Path(args.out if args.out else config.out_dir)
-    result = harness.run_experiment(config)
-    _write_run_outputs(result, out_dir)
-    print(f"{config.balancer}: composite = {result.composite:.6f} -> {out_dir}")
+    out_dir = _out_dir(args, config)
+    if args.command == "run":
+        result = harness.run_experiment(config)
+        line = f"{config.balancer}: composite = {result.composite:.6f} -> {out_dir}"
+    else:
+        result = harness.run_single_task(config, args.task)
+        task = result.task_results[0]
+        line = f"single-task {task.name}: metric = {task.metric:.6f}, test loss = {task.test_loss:.6g}"
+    _write(out_dir, {
+        "trace.csv": trace_to_text(result.trace),
+        "result.json": harness.result_to_json(result),
+        "config.echo": harness.config_to_text(result.config),
+    })
+    print(line)
     return 0
 
 
-def _cmd_single_task(args) -> int:
+def _cmd_table(args) -> int:
+    """`compare` and `sweep`: run the comparison, then write its table and print it."""
     config = _load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    out_dir = Path(args.out if args.out else config.out_dir)
-    result = harness.run_single_task(config, args.task)
-    _write_run_outputs(result, out_dir)
-    task = result.task_results[0]
-    print(f"single-task {task.name}: metric = {task.metric:.6f}, test loss = {task.test_loss:.6g}")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ConfigError("--methods must name at least one balancer")
-    variants = [dataclasses.replace(config, balancer=m, name=m) for m in methods]
+    out_dir = _out_dir(args, config)
     seeds = _parse_seeds(args.seeds)
-    report = harness.compare(variants, seeds, normalized_spread=not args.no_spread)
-    out_dir = Path(args.out if args.out else config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.command == "compare":
+        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        if not methods:
+            raise ConfigError("--methods must name at least one balancer")
+        variants = [dataclasses.replace(config, balancer=m, name=m) for m in methods]
+        report = harness.compare(variants, seeds, normalized_spread=not args.no_spread)
+    else:
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
+        report = harness.sweep(config, args.param, values, seeds)
     table = report.to_table_text()
-    (out_dir / "compare.csv").write_text(table)
-    sys.stdout.write(table)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
-    seeds = _parse_seeds(args.seeds)
-    report = harness.sweep(config, args.param, values, seeds)
-    out_dir = Path(args.out if args.out else config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = report.to_table_text()
-    (out_dir / "sweep.csv").write_text(table)
+    _write(out_dir, {f"{args.command}.csv": table})
     sys.stdout.write(table)
     return 0
 
@@ -109,36 +113,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="train one configuration and write its outputs")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--out", default=None)
-    run_p.set_defaults(func=_cmd_run)
+    parsers = []
+    for name, func, about in [
+        ("run", _cmd_run, "train one configuration and write its outputs"),
+        ("compare", _cmd_table, "compare balancers over seeds"),
+        ("sweep", _cmd_table, "grid one balancer hyperparameter"),
+        ("single-task", _cmd_run, "train one task alone for reference losses"),
+    ]:
+        cmd_p = sub.add_parser(name, help=about)
+        cmd_p.add_argument("--config", required=True)
+        cmd_p.add_argument("--out", default=None)
+        cmd_p.set_defaults(func=func)
+        parsers.append(cmd_p)
+    run_p, cmp_p, sweep_p, st_p = parsers
 
-    cmp_p = sub.add_parser("compare", help="compare balancers over seeds")
-    cmp_p.add_argument("--config", required=True)
+    st_p.add_argument("--task", type=int, required=True)
+    for seeded_p in (run_p, st_p):
+        seeded_p.add_argument("--seed", type=int, default=None)
     cmp_p.add_argument("--methods", required=True, help="comma-separated balancer names")
     cmp_p.add_argument("--seeds", required=True, help="e.g. 1..10 or 1,2,3")
-    cmp_p.add_argument("--out", default=None)
     cmp_p.add_argument(
         "--no-spread", action="store_true", help="skip single-task reference runs"
     )
-    cmp_p.set_defaults(func=_cmd_compare)
-
-    sweep_p = sub.add_parser("sweep", help="grid one balancer hyperparameter")
-    sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--param", required=True, choices=sorted(harness.SWEEPABLE))
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--seeds", default="1", help="e.g. 1..5 (default 1)")
-    sweep_p.add_argument("--out", default=None)
-    sweep_p.set_defaults(func=_cmd_sweep)
-
-    st_p = sub.add_parser("single-task", help="train one task alone for reference losses")
-    st_p.add_argument("--config", required=True)
-    st_p.add_argument("--task", type=int, required=True)
-    st_p.add_argument("--seed", type=int, default=None)
-    st_p.add_argument("--out", default=None)
-    st_p.set_defaults(func=_cmd_single_task)
     return parser
 
 

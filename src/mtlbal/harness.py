@@ -22,6 +22,7 @@ import numpy as np
 
 from . import network
 from .balancers import (
+    _VALID,
     BALANCER_NAMES,
     EPS_FLOOR,
     LossVector,
@@ -80,6 +81,15 @@ SCENARIOS = {
 
 OPTIMIZERS = ("adam", "sgd")
 
+#: Each config field that sets a balancer hyperparameter, with its name there.
+_BALANCER_FIELDS = {
+    "beta": "beta",
+    "temperature": "temperature",
+    "alpha": "alpha",
+    "balancer_lr": "learning_rate",
+    "dwema_mode": "mode",
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -89,7 +99,7 @@ class ExperimentConfig:
     # scale: independent tasks (relatedness 0) contest the trunk, and 8000
     # samples keep single-task references out of the overfitting regime.
     scenario: str | None = None
-    tasks: tuple = ()
+    tasks: tuple[TaskSpec, ...] = ()
     input_dim: int = 32
     n_samples: int = 8000
     relatedness: float = 0.0
@@ -100,8 +110,8 @@ class ExperimentConfig:
     alpha: float = 1.5
     balancer_lr: float = 0.025
     dwema_mode: str = "divide"
-    trunk: tuple = (64, 64)
-    head_hidden: tuple = (32,)
+    trunk: tuple[int, ...] = (64, 64)
+    head_hidden: tuple[int, ...] = (32,)
     optimizer: str = "adam"
     lr: float = 1e-3
     iterations: int = 2000
@@ -119,16 +129,12 @@ class ExperimentConfig:
             raise ConfigError("exactly one of 'scenario' or 'tasks' must be set")
         if self.scenario is not None and self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; have {sorted(SCENARIOS)}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if not self.alpha >= 0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if not (self.balancer_lr > 0 and self.lr > 0):
-            raise ConfigError(f"lr and balancer_lr must be positive, got {self.lr}, {self.balancer_lr}")
-        if self.dwema_mode not in ("divide", "multiply"):
-            raise ConfigError(f"dwema_mode must be 'divide' or 'multiply', got {self.dwema_mode!r}")
+        for key, hyper in _BALANCER_FIELDS.items():
+            valid, wanted = _VALID[hyper]
+            if not valid(getattr(self, key)):
+                raise ConfigError(f"{key} must be {wanted}, got {getattr(self, key)!r}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.iterations < 0:
@@ -141,7 +147,10 @@ class ExperimentConfig:
             raise ConfigError("head_hidden sizes must be positive")
         if self.input_dim < 2:
             raise ConfigError(f"input_dim must be >= 2, got {self.input_dim}")
-        floor = 10 * len(self.resolved_tasks())
+        names = task_names(self.resolved_tasks())
+        if len(set(names)) < len(names):
+            raise ConfigError(f"task labels must be unique, got {names}")
+        floor = 10 * len(names)
         if self.n_samples < floor:
             raise ConfigError(f"n_samples must be >= 10 per task ({floor}), got {self.n_samples}")
         if self.latent_dim is not None and self.latent_dim < 1:
@@ -157,7 +166,12 @@ class ExperimentConfig:
         return SCENARIOS[self.scenario] if self.scenario else tuple(self.tasks)
 
 
-def metric_group(spec: TaskSpec, index: int) -> str:
+def task_names(specs) -> tuple:
+    """Each task's label: its name, or task<i> for an unnamed task i."""
+    return tuple(s.name or f"task{i}" for i, s in enumerate(specs))
+
+
+def metric_group(spec: TaskSpec, name: str) -> str:
     """Composite-score group for a task: regressions pool into one mean-CCC
     group, binaries pool into one mean-F1 group, each multiclass task is its
     own F1 group."""
@@ -165,7 +179,7 @@ def metric_group(spec: TaskSpec, index: int) -> str:
         return "ccc"
     if spec.kind == "binary-bce":
         return "binary_f1"
-    return f"f1_{spec.name or f'task{index}'}"
+    return f"f1_{name}"
 
 
 @dataclass
@@ -189,14 +203,8 @@ class RunResult:
 
 
 def _make_balancer(config: ExperimentConfig):
-    return make_balancer(
-        config.balancer,
-        beta=config.beta,
-        temperature=config.temperature,
-        alpha=config.alpha,
-        learning_rate=config.balancer_lr,
-        dwema_mode=config.dwema_mode,
-    )
+    hyper = {name: getattr(config, key) for key, name in _BALANCER_FIELDS.items()}
+    return make_balancer(config.balancer, **hyper)
 
 
 def _generate(config: ExperimentConfig, specs) -> Dataset:
@@ -229,8 +237,7 @@ DRAW_BLOCK = 64
 def _train(config: ExperimentConfig, data: Dataset, params, balancer):
     """The inner loop shared by all runs: trains `params` in place, returns the trace."""
     k = len(data.specs)
-    names = tuple(s.name or f"task{i}" for i, s in enumerate(data.specs))
-    trace = Trace(task_names=names)
+    trace = Trace(task_names=task_names(data.specs))
     batch_stream = SplitMix64(derive(config.seed, BATCH_STREAM_TAG))
     n_train, size = data.train_index.size, config.batch_size
     moments = network.init_moments(params) if config.optimizer == "adam" else None
@@ -299,7 +306,7 @@ def evaluate_model(params, data: Dataset):
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
         cache = network.forward_cache(params, test_x)
-        for k, spec in enumerate(data.specs):
+        for k, (spec, name) in enumerate(zip(data.specs, task_names(data.specs))):
             out = cache.outputs[k]
             target = data.targets[k][data.test_index]
             loss_k = loss_and_grad(spec.kind, out, target, spec.loss_scale)[0]
@@ -312,11 +319,11 @@ def evaluate_model(params, data: Dataset):
                 metric = float(np.mean(cols))
             results.append(
                 TaskResult(
-                    name=spec.name or f"task{k}",
+                    name=name,
                     kind=spec.kind,
                     metric=metric,
                     test_loss=loss_k,
-                    group=metric_group(spec, k),
+                    group=metric_group(spec, name),
                 )
             )
     composite = composite_score([(r.metric, r.group) for r in results])
@@ -332,25 +339,7 @@ def run_experiment(config: ExperimentConfig, data: Dataset | None = None) -> Run
     (ConfigError otherwise); `compare` passes it to share one dataset across
     a seed's runs.
     """
-    config.validate()
-    started = time.perf_counter()
-    specs = config.resolved_tasks()
-    data = _dataset_for(config, specs, data)
-    params = network.init_params(
-        config.seed, config.input_dim, config.trunk, config.head_hidden, specs
-    )
-    balancer = _make_balancer(config)
-    trace = _train(config, data, params, balancer)
-    task_results, composite = evaluate_model(params, data)
-    if not np.isfinite(composite):
-        raise NumericalAbort(config.iterations, snapshot(balancer), "non-finite test metrics")
-    return RunResult(
-        config=config,
-        task_results=task_results,
-        composite=composite,
-        trace=trace,
-        duration_s=time.perf_counter() - started,
-    )
+    return _run(config, data)
 
 
 def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | None = None) -> RunResult:
@@ -362,21 +351,31 @@ def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | N
     serve as per-task reference losses for normalized-spread evaluation.
     `data` is as in `run_experiment`.
     """
+    return _run(config, data, task_index)
+
+
+def _run(config: ExperimentConfig, data: Dataset | None, task_index: int | None = None) -> RunResult:
+    """The one run body: all tasks, or only task `task_index` under baseline."""
     config.validate()
     specs = config.resolved_tasks()
-    if not 0 <= task_index < len(specs):
+    if task_index is not None and not 0 <= task_index < len(specs):
         raise ConfigError(f"task index {task_index} out of range for {len(specs)} tasks")
     started = time.perf_counter()
     data = _dataset_for(config, specs, data)
-    single = dataclasses.replace(data, targets=[data.targets[task_index]], specs=(specs[task_index],))
-    full = network.init_params(
+    params = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, specs
     )
-    params = full.select([task_index])
-    balancer = make_balancer("baseline")
-    trace = _train(config, single, params, balancer)
-    task_results, composite = evaluate_model(params, single)
-    if not np.isfinite(composite) or not np.isfinite(task_results[0].test_loss):
+    if task_index is None:
+        balancer = _make_balancer(config)
+    else:
+        data = dataclasses.replace(
+            data, targets=[data.targets[task_index]], specs=(specs[task_index],)
+        )
+        params = params.select([task_index])
+        balancer = make_balancer("baseline")
+    trace = _train(config, data, params, balancer)
+    task_results, composite = evaluate_model(params, data)
+    if not np.isfinite([composite] + [t.test_loss for t in task_results]).all():
         raise NumericalAbort(config.iterations, snapshot(balancer), "non-finite test metrics")
     return RunResult(
         config=config,
@@ -391,22 +390,13 @@ def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | N
 # Comparison across balancers and hyperparameter sweeps.
 # ---------------------------------------------------------------------------
 
-#: Config fields the methods under comparison must agree on.
-_SHARED_FIELDS = (
-    "scenario",
-    "tasks",
-    "input_dim",
-    "n_samples",
-    "relatedness",
-    "latent_dim",
-    "trunk",
-    "head_hidden",
-    "optimizer",
-    "lr",
-    "iterations",
-    "batch_size",
-    "log_cadence",
-)
+#: Config fields the methods under comparison must agree on: all but the
+#: balancer settings, the seed and where the outputs go.
+_SHARED_FIELDS = [
+    f.name
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in {"balancer", *_BALANCER_FIELDS, "seed", "out_dir", "name"}
+]
 
 
 @dataclass
@@ -439,6 +429,19 @@ class MethodSummary:
     task_metric_means: list
 
 
+#: The summary columns compare.csv and sweep.csv share; `_summary_cells` fills them.
+_SUMMARY_COLUMNS = ["n_seeds", "n_failed", "wins", "composite_mean", "composite_std", "spikiness_mean"]
+
+
+def _summary_cells(s: MethodSummary) -> list:
+    counts = [str(s.n_seeds), str(s.n_failed), str(s.wins)]
+    return counts + [fmt(s.composite_mean), fmt(s.composite_std), fmt(s.spikiness_mean)]
+
+
+def _table_text(header: list, rows) -> str:
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
 @dataclass
 class ComparisonReport:
     methods: list
@@ -460,32 +463,13 @@ class ComparisonReport:
         """Stable column order (see README): method, n_seeds, n_failed, wins,
         composite_mean, composite_std, spikiness_mean, norm_spread_median,
         dominated_norm_loss_median, then metric_<task>_mean per task."""
-        header = [
-            "method",
-            "n_seeds",
-            "n_failed",
-            "wins",
-            "composite_mean",
-            "composite_std",
-            "spikiness_mean",
-            "norm_spread_median",
-            "dominated_norm_loss_median",
-        ] + [f"metric_{n}_mean" for n in self.task_names]
-        lines = [",".join(header)]
-        for s in self.summaries:
-            cells = [
-                s.method,
-                str(s.n_seeds),
-                str(s.n_failed),
-                str(s.wins),
-                fmt(s.composite_mean),
-                fmt(s.composite_std),
-                fmt(s.spikiness_mean),
-                fmt(s.norm_spread_median),
-                fmt(s.dominated_norm_loss_median),
-            ] + [fmt(v) for v in s.task_metric_means]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        header = ["method", *_SUMMARY_COLUMNS, "norm_spread_median", "dominated_norm_loss_median"]
+        rows = [
+            [s.method, *_summary_cells(s), fmt(s.norm_spread_median), fmt(s.dominated_norm_loss_median)]
+            + [fmt(v) for v in s.task_metric_means]
+            for s in self.summaries
+        ]
+        return _table_text(header + [f"metric_{n}_mean" for n in self.task_names], rows)
 
 
 def _dominant_index(specs) -> int | None:
@@ -536,6 +520,8 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
     seeds = list(seeds)
     if not configs or not seeds:
         raise ConfigError("compare needs at least one config and one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
     for cfg in configs:
         cfg.validate()
     base = configs[0]
@@ -550,7 +536,7 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
         raise ConfigError(f"config labels must be unique, got {labels}")
 
     specs = base.resolved_tasks()
-    task_names = tuple(s.name or f"task{i}" for i, s in enumerate(specs))
+    names = task_names(specs)
     dominant = _dominant_index(specs)
 
     # Seed-major: each seed's dataset is generated once, shared by that
@@ -605,13 +591,13 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
                 dominated_norm_loss_median=float(np.median(dominated)) if dominated else None,
                 task_metric_means=[
                     float(np.mean([r.task_metrics[i] for r in ok])) if ok else None
-                    for i in range(len(task_names))
+                    for i in range(len(names))
                 ],
             )
         )
     return ComparisonReport(
         methods=labels,
-        task_names=task_names,
+        task_names=names,
         rows=rows,
         summaries=summaries,
         spread_enabled=normalized_spread,
@@ -630,23 +616,11 @@ class SweepReport:
     def to_table_text(self) -> str:
         """Columns: parameter, value, n_seeds, n_failed, wins, composite_mean,
         composite_std, spikiness_mean."""
-        lines = ["parameter,value,n_seeds,n_failed,wins,composite_mean,composite_std,spikiness_mean"]
-        for value, summary in zip(self.values, self.comparison.summaries):
-            lines.append(
-                ",".join(
-                    [
-                        self.parameter,
-                        fmt(value),
-                        str(summary.n_seeds),
-                        str(summary.n_failed),
-                        str(summary.wins),
-                        fmt(summary.composite_mean),
-                        fmt(summary.composite_std),
-                        fmt(summary.spikiness_mean),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = [
+            [self.parameter, fmt(value), *_summary_cells(summary)]
+            for value, summary in zip(self.values, self.comparison.summaries)
+        ]
+        return _table_text(["parameter", "value", *_SUMMARY_COLUMNS], rows)
 
 
 def sweep(config: ExperimentConfig, parameter: str, values, seeds) -> SweepReport:
@@ -672,10 +646,20 @@ def sweep(config: ExperimentConfig, parameter: str, values, seeds) -> SweepRepor
 # Config-file schema (key = value text) and run outputs.
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"input_dim", "n_samples", "iterations", "batch_size", "seed", "log_cadence", "latent_dim"}
-_FLOAT_KEYS = {"relatedness", "beta", "temperature", "alpha", "balancer_lr", "lr"}
-_STR_KEYS = {"scenario", "balancer", "dwema_mode", "optimizer", "out_dir", "name"}
-_TUPLE_KEYS = {"trunk", "head_hidden"}
+#: Each declared config field type's (parse, format) pair; `| None` adds nothing.
+_CODECS = {
+    "int": (int, str),
+    "float": (float, fmt),
+    "str": (str, str),
+    "tuple[int, ...]": (
+        lambda text: tuple(int(p) for p in text.split(",") if p.strip()),
+        lambda sizes: ",".join(str(s) for s in sizes),
+    ),
+    "tuple[TaskSpec, ...]": (specs_from_text, specs_to_text),
+}
+_FIELD_CODECS = {
+    f.name: _CODECS[f.type.removesuffix(" | None")] for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -691,21 +675,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if key not in _FIELD_CODECS:
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            if key == "tasks":
-                values[key] = specs_from_text(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _TUPLE_KEYS:
-                values[key] = tuple(int(p) for p in val.split(",") if p.strip()) if val else ()
-            elif key in _STR_KEYS:
-                values[key] = val
-            else:
-                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        except ConfigError:
-            raise
+            values[key] = _FIELD_CODECS[key][0](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     config = ExperimentConfig(**values)
@@ -717,17 +690,11 @@ def config_to_text(config: ExperimentConfig) -> str:
     """Canonical echo of a config: one line per set field, in field order
     (None fields and empty tasks are left out); parse_config inverts it."""
     lines = []
-    for fld in dataclasses.fields(config):
-        key, value = fld.name, getattr(config, fld.name)
+    for key, (_, to_text) in _FIELD_CODECS.items():
+        value = getattr(config, key)
         if value is None or (key == "tasks" and not value):
             continue
-        if key == "tasks":
-            value = specs_to_text(value)
-        elif key in _TUPLE_KEYS:
-            value = ",".join(str(s) for s in value)
-        elif key in _FLOAT_KEYS:
-            value = fmt(value)
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {to_text(value)}")
     return "\n".join(lines) + "\n"
 
 

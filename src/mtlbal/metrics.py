@@ -3,8 +3,8 @@
 Scoring: binary F1, macro F1, concordance correlation (population moments),
 and a composite score assembled from tagged metric groups. Instrumentation:
 an append-only per-iteration Trace (losses, weights, training rates, their
-spread, and the weighted total) with helpers for the rate spread and for how
-spiky the mean loss coefficient is across consecutive logged rows.
+spread, and the weighted total) and how spiky the mean loss coefficient is
+across consecutive logged rows.
 
 All metrics are pure functions; a Trace has a single writer and may be read
 concurrently once a run finishes.
@@ -133,20 +133,6 @@ class Trace:
 
     def weight_means(self) -> np.ndarray:
         return np.array([float(r.weights.mean()) for r in self.rows])
-
-
-def training_rate_std(row) -> float:
-    """Population standard deviation of the per-task training rates."""
-    rates = np.asarray(getattr(row, "rates", row), dtype=np.float64)
-    if rates.size < 2:
-        raise ValueError("need at least two tasks for a rate spread")
-    return float(rates.std())
-
-
-def coefficient_mean(row) -> float:
-    """Mean loss coefficient of one trace row."""
-    weights = np.asarray(getattr(row, "weights", row), dtype=np.float64)
-    return float(weights.mean())
 
 
 def coefficient_spikiness(trace) -> float:

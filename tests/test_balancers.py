@@ -545,3 +545,16 @@ class TestBaseline:
         assert bal.step(lv([5.0, 1.0])).values.tolist() == [1.0, 1.0]
         with pytest.raises(ValueError):
             bal.step(lv([1.0]))
+
+
+class TestMakeBalancer:
+    def test_keywords_defaults_and_unknown_names(self):
+        # Hyperparameters the method does not declare are ignored; the rest
+        # default to the class's declaration.
+        bal = make_balancer("dwema", beta=0.3, dwema_mode="multiply", alpha=2.0, learning_rate=1.0)
+        assert (bal.beta, bal.temperature, bal.mode) == (0.3, Dwema.hyper["temperature"], "multiply")
+        assert make_balancer("dwa").temperature == Dwa.hyper["temperature"]
+        with pytest.raises(TypeError, match="gamma"):
+            make_balancer("ema", gamma=0.5)
+        with pytest.raises(ValueError, match="beta"):
+            make_balancer("ema", beta=0.0)

@@ -57,6 +57,13 @@ seed = 1
 """
 
 
+def run_cli(args, tmp_path):
+    """Run the CLI in a fresh process; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "mtlbal.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=tmp_path)
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -108,12 +115,7 @@ class TestRunCommand:
     def test_balancer_error_exits_two_without_traceback(self, tmp_path):
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(OVERFLOW_CONFIG)
-        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
         assert proc.returncode == 2
         assert "numerical abort" in proc.stderr and "task 1" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -121,12 +123,7 @@ class TestRunCommand:
     def test_non_finite_loss_exits_two_naming_the_task(self, tmp_path):
         cfg = tmp_path / "nonfinite.cfg"
         cfg.write_text(NONFINITE_CONFIG)
-        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
         assert proc.returncode == 2
         assert "numerical abort" in proc.stderr and "loss for task 1 is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -138,12 +135,7 @@ class TestRunCommand:
     def test_invalid_setting_exits_one_without_traceback(self, tmp_path, setting):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(FAST_CONFIG + setting + "\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
         assert proc.returncode == 1
         assert "config error" in proc.stderr and setting.split()[0] in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -178,11 +170,12 @@ class TestCompareCommand:
         assert rc == 1
 
     def test_bad_seed_list_rejected(self, config_file, tmp_path):
-        rc = main(
-            ["compare", "--config", str(config_file), "--methods", "ema", "--seeds", "1..x",
-             "--out", str(tmp_path)]
-        )
-        assert rc == 1
+        for seeds in ("1..x", "1,1"):
+            rc = main(
+                ["compare", "--config", str(config_file), "--methods", "ema", "--seeds", seeds,
+                 "--out", str(tmp_path)]
+            )
+            assert rc == 1
 
 
 class TestSweepCommand:
@@ -215,3 +208,33 @@ class TestSingleTaskCommand:
             ["single-task", "--config", str(config_file), "--task", "11", "--out", str(tmp_path)]
         )
         assert rc == 1
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be a directory is a config error, found before any training."""
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_run_exits_one_before_training(self, tmp_path, under_file):
+        # This config aborts at its first step, so exit 1 shows that nothing trained.
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(NONFINITE_CONFIG)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "o" if under_file else blocker
+        proc = run_cli(["run", "--config", str(cfg), "--out", str(out)], tmp_path)
+        assert proc.returncode == 1
+        assert "config error: cannot write output directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_compare_exits_one(self, config_file, tmp_path, under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "o" if under_file else blocker
+        proc = run_cli(["compare", "--config", str(config_file), "--methods", "ema",
+                        "--seeds", "1", "--no-spread", "--out", str(out)], tmp_path)
+        assert proc.returncode == 1
+        assert "config error: cannot write output directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

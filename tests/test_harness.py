@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 import mtlbal.harness
 from mtlbal import network
-from mtlbal.balancers import EPS_FLOOR, EmaState, LossVector, combine, ema_update
+from mtlbal.balancers import (
+    BALANCER_NAMES,
+    EPS_FLOOR,
+    EmaState,
+    LossVector,
+    combine,
+    ema_update,
+    make_balancer,
+)
 from mtlbal.harness import (
     SCENARIOS,
     ConfigError,
@@ -98,6 +106,10 @@ class TestConfig:
             (dict(alpha=float("nan")), "alpha"),
             (dict(lr=float("nan")), "lr"),
             (dict(balancer_lr=float("nan")), "balancer_lr"),
+            (dict(scenario=None, tasks=(TaskSpec("multiclass-ce", 3, 1.0, "a"),) * 2), "task labels"),
+            # An unnamed task i is labelled task<i>, so a name can shadow it.
+            (dict(scenario=None, tasks=(TaskSpec("binary-bce", 1, 1.0, "task1"), TaskSpec("binary-bce"))),
+             "task labels"),
         ]:
             with pytest.raises(ConfigError, match=match):
                 fast_config(**kw).validate()
@@ -180,6 +192,50 @@ class TestConfig:
         cfg = parse_config("# comment\n\nscenario = va-mini\nbalancer = dwa\n")
         assert cfg.scenario == "va-mini"
         assert cfg.balancer == "dwa"
+
+
+BALANCER_CLASSES = [type(make_balancer(name)) for name in BALANCER_NAMES]
+
+
+class TestBalancerRulesHaveOneHome:
+    """The config accepts a balancer setting exactly when the balancer does,
+    and its defaults are the ones the balancers declare."""
+
+    def test_every_declared_hyperparameter_has_a_config_field(self):
+        declared = {name for cls in BALANCER_CLASSES for name in cls.hyper}
+        assert set(mtlbal.harness._BALANCER_FIELDS.values()) == declared
+
+    @pytest.mark.parametrize("key", sorted(mtlbal.harness._BALANCER_FIELDS))
+    def test_config_rejects_exactly_what_the_balancer_rejects(self, key):
+        hyper = mtlbal.harness._BALANCER_FIELDS[key]
+        classes = [cls for cls in BALANCER_CLASSES if hyper in cls.hyper]
+        if key == "dwema_mode":
+            grid = ["divide", "multiply", "", "Divide", "divide ", 0.5]
+        else:
+            tiny = 5e-324
+            grid = [float("nan"), 0.0, -0.0, tiny, -tiny, 0.5, 1.0, 1.0 + 2**-52, -1.0, 2.0,
+                    1e300, float("inf"), float("-inf")]
+        for value in grid:
+            try:
+                fast_config(**{key: value}).validate()
+                config_rejects = False
+            except ConfigError as exc:
+                assert key in str(exc)
+                config_rejects = True
+            for cls in classes:
+                try:
+                    cls(**{hyper: value})
+                    class_rejects = False
+                except ValueError:
+                    class_rejects = True
+                assert config_rejects == class_rejects, (key, value, cls.__name__)
+
+    @pytest.mark.parametrize("key", sorted(mtlbal.harness._BALANCER_FIELDS))
+    def test_config_defaults_are_the_declared_defaults(self, key):
+        hyper = mtlbal.harness._BALANCER_FIELDS[key]
+        for cls in BALANCER_CLASSES:
+            if hyper in cls.hyper:
+                assert getattr(ExperimentConfig(), key) == cls.hyper[hyper], cls.__name__
 
 
 class TestRunExperiment:
@@ -387,6 +443,10 @@ class TestCompare:
         cfg = fast_config()
         with pytest.raises(ConfigError, match="unique"):
             compare([cfg, cfg], [1])
+
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            compare([fast_config()], [1, 2, 1], normalized_spread=False)
 
     def test_non_balancer_difference_rejected(self):
         a = fast_config(balancer="ema")

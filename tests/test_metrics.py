@@ -8,13 +8,11 @@ from mtlbal.metrics import (
     Trace,
     TraceRow,
     ccc,
-    coefficient_mean,
     coefficient_spikiness,
     composite_score,
     f1_binary,
     f1_macro,
     trace_to_text,
-    training_rate_std,
 )
 from mtlbal.rng import SplitMix64
 
@@ -146,32 +144,6 @@ def make_row(t, weights, rates=None, losses=None):
     )
 
 
-class TestTrainingRateStd:
-    def test_equal_rates_zero(self):
-        assert training_rate_std(make_row(0, [1.0, 1.0], rates=[0.9, 0.9])) == 0.0
-
-    def test_two_point_hand_value(self):
-        assert training_rate_std(make_row(0, [1, 1], rates=[0.5, 1.5])) == 0.5
-
-    def test_invariant_under_per_task_rescaling_exactly(self):
-        # Grid-valued losses: scaling one task by 10^4 leaves its past-loss
-        # ratio bit-identical, so the spread across tasks cannot move.
-        stream = SplitMix64(14)
-        k = 6
-        prev2 = (103 + stream.below(10_000, k)) / 1024.0
-        prev = (103 + stream.below(10_000, k)) / 1024.0
-        rates = prev / prev2
-        scaled_prev2, scaled_prev = prev2.copy(), prev.copy()
-        scaled_prev2[3] *= 1e4
-        scaled_prev[3] *= 1e4
-        scaled_rates = scaled_prev / scaled_prev2
-        assert training_rate_std(rates) == training_rate_std(scaled_rates)
-
-    def test_needs_two_tasks(self):
-        with pytest.raises(ValueError):
-            training_rate_std(np.array([1.0]))
-
-
 class TestSpikiness:
     def test_constant_weights_zero(self):
         trace = Trace(task_names=("a", "b"))
@@ -201,9 +173,6 @@ class TestSpikiness:
     def test_short_trace_scores_zero(self):
         trace = Trace(task_names=("a",))
         assert coefficient_spikiness(trace) == 0.0
-
-    def test_coefficient_mean(self):
-        assert coefficient_mean(make_row(0, [1.0, 3.0])) == 2.0
 
 
 class TestTrace:
