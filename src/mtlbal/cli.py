@@ -94,13 +94,15 @@ def _cmd_table(args) -> int:
         if not methods:
             raise ConfigError("--methods must name at least one balancer")
         variants = [dataclasses.replace(config, balancer=m, name=m) for m in methods]
-        report = harness.compare(variants, seeds, normalized_spread=not args.no_spread)
+        report = harness.compare(
+            variants, seeds, normalized_spread=not args.no_spread, jobs=args.jobs
+        )
     else:
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
-        report = harness.sweep(config, args.param, values, seeds)
+        report = harness.sweep(config, args.param, values, seeds, jobs=args.jobs)
     table = report.to_table_text()
     _write(out_dir, {f"{args.command}.csv": table})
     sys.stdout.write(table)
@@ -135,9 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument(
         "--no-spread", action="store_true", help="skip single-task reference runs"
     )
-    sweep_p.add_argument("--param", required=True, choices=sorted(harness.SWEEPABLE))
+    sweep_p.add_argument("--param", required=True, help=f"one of {', '.join(harness.SWEEPABLE)}")
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--seeds", default="1", help="e.g. 1..5 (default 1)")
+    for table_p in (cmp_p, sweep_p):
+        table_p.add_argument(
+            "--jobs", type=int, default=harness.usable_cores(),
+            help="processes that run seeds (default: the usable cores; 1 runs serially)",
+        )
     return parser
 
 

@@ -7,7 +7,8 @@ kept only on the in-memory result). Weights for iteration t are computed
 from the losses measured at t, before the optimizer step.
 
 Distinct (config, seed) runs are independent; each run is sequential over
-iterations. Comparison tables are assembled in (config, seed) order.
+iterations. A comparison's seeds may run in separate processes; its tables
+are assembled in (config, seed) order either way.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -123,6 +125,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         # Range checks are written so that NaN fails them.
+        _check_seed(self.seed)
         if self.balancer not in BALANCER_NAMES:
             raise ConfigError(f"balancer must be one of {BALANCER_NAMES}, got {self.balancer!r}")
         if bool(self.scenario) == bool(self.tasks):
@@ -164,6 +167,12 @@ class ExperimentConfig:
 
     def resolved_tasks(self) -> tuple:
         return SCENARIOS[self.scenario] if self.scenario else tuple(self.tasks)
+
+
+def _check_seed(seed: int) -> None:
+    """Seeds are unsigned 64-bit values (see `rng`)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def task_names(specs) -> tuple:
@@ -444,11 +453,9 @@ def _table_text(header: list, rows) -> str:
 
 @dataclass
 class ComparisonReport:
-    methods: list
     task_names: tuple
     rows: list  # RunRecords in (config, seed) order
     summaries: list
-    spread_enabled: bool
 
     def summary(self, method: str) -> MethodSummary:
         for s in self.summaries:
@@ -506,7 +513,81 @@ def _record(config: ExperimentConfig, data: Dataset, reference, dominant) -> Run
     return record
 
 
-def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _seed_records(seed: int, configs, specs, normalized_spread: bool, dominant) -> list:
+    """One seed's comparison cells, in config order.
+
+    The seed's dataset is generated once and shared by its single-task
+    references and every method. Reference runs follow the failed-run
+    policy: a seed whose references abort has no spread statistics.
+    """
+    seed_cfg = dataclasses.replace(configs[0], seed=seed)
+    data = _generate(seed_cfg, specs)
+    reference = None
+    if normalized_spread:
+        try:
+            refs = [
+                run_single_task(seed_cfg, k, data).task_results[0].test_loss
+                for k in range(len(specs))
+            ]
+            reference = np.maximum(np.array(refs), EPS_FLOOR)
+        except NumericalAbort:
+            pass
+    return [
+        _record(dataclasses.replace(cfg, seed=seed), data, reference, dominant) for cfg in configs
+    ]
+
+
+def _worker_init() -> None:
+    """Set up a spawned worker: ignore Ctrl-C, since the parent stops its
+    workers itself, and exit as soon as the parent process is gone."""
+    import multiprocessing.connection
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def exit_with_parent():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _parallel_seed_records(seeds: list, processes: int, args: tuple) -> dict:
+    """Each seed's cells: this process runs seeds[0::processes] itself while
+    `processes - 1` spawned workers run the rest."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawn, not fork: a fork taken after BLAS has started threads can hang.
+    pool = ProcessPoolExecutor(
+        processes - 1, mp_context=multiprocessing.get_context("spawn"), initializer=_worker_init
+    )
+    try:
+        own = seeds[::processes]
+        futures = {s: pool.submit(_seed_records, s, *args) for s in seeds if s not in own}
+        cells = {s: _seed_records(s, *args) for s in own}
+        cells.update((s, future.result()) for s, future in futures.items())
+    except BaseException:
+        # Ctrl-C or a failure: stop the workers now rather than after their
+        # current seed (Python 3.14 has pool.terminate_workers for this).
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return cells
+
+
+def compare(configs, seeds, normalized_spread: bool = True, jobs: int = 1) -> ComparisonReport:
     """Run every (config, seed) pair and tabulate per-method statistics.
 
     The configs must differ only in balancer settings (enforced). With
@@ -515,6 +596,10 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
     them; the spread is max/min of those normalized losses and the dominated
     statistic is the worst normalized loss among non-dominant tasks. A run
     that aborts numerically is marked failed and the comparison proceeds.
+
+    Seeds run in min(jobs, usable cores, seeds) processes: this one plus
+    spawned workers, so a script calling this with jobs > 1 needs an
+    `if __name__ == "__main__":` guard. The report does not depend on `jobs`.
     """
     configs = list(configs)
     seeds = list(seeds)
@@ -522,6 +607,10 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
         raise ConfigError("compare needs at least one config and one seed")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
+    for seed in seeds:
+        _check_seed(seed)
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     for cfg in configs:
         cfg.validate()
     base = configs[0]
@@ -537,31 +626,14 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
 
     specs = base.resolved_tasks()
     names = task_names(specs)
-    dominant = _dominant_index(specs)
-
-    # Seed-major: each seed's dataset is generated once, shared by that
-    # seed's references and methods, and dropped before the next seed's.
-    # Reference runs follow the same failed-run policy: a seed whose
-    # single-task references abort simply has no spread statistics.
-    cells = {}
-    for seed in seeds:
-        seed_cfg = dataclasses.replace(base, seed=seed)
-        data = _generate(seed_cfg, specs)
-        reference = None
-        if normalized_spread:
-            try:
-                refs = [
-                    run_single_task(seed_cfg, k, data).task_results[0].test_loss
-                    for k in range(len(specs))
-                ]
-                reference = np.maximum(np.array(refs), EPS_FLOOR)
-            except NumericalAbort:
-                pass
-        for cfg, label in zip(configs, labels):
-            run_cfg = dataclasses.replace(cfg, seed=seed)
-            cells[label, seed] = _record(run_cfg, data, reference, dominant)
-        del data
-    rows = [cells[label, seed] for label in labels for seed in seeds]
+    args = (configs, specs, normalized_spread, _dominant_index(specs))
+    processes = min(jobs, usable_cores(), len(seeds))
+    if processes == 1:
+        # Seed by seed, so one dataset is alive at a time.
+        cells = {seed: _seed_records(seed, *args) for seed in seeds}
+    else:
+        cells = _parallel_seed_records(seeds, processes, args)
+    rows = [cells[seed][i] for i in range(len(configs)) for seed in seeds]
 
     summaries = []
     wins = {label: 0 for label in labels}
@@ -595,16 +667,15 @@ def compare(configs, seeds, normalized_spread: bool = True) -> ComparisonReport:
                 ],
             )
         )
-    return ComparisonReport(
-        methods=labels,
-        task_names=names,
-        rows=rows,
-        summaries=summaries,
-        spread_enabled=normalized_spread,
-    )
+    return ComparisonReport(task_names=names, rows=rows, summaries=summaries)
 
 
-SWEEPABLE = {"beta": "beta", "temperature": "temperature", "alpha": "alpha", "lr": "balancer_lr"}
+#: Config keys `sweep` can grid: the balancer fields that hold a float.
+SWEEPABLE = tuple(
+    f.name
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name in _BALANCER_FIELDS and f.type == "float"
+)
 
 
 @dataclass
@@ -623,22 +694,24 @@ class SweepReport:
         return _table_text(["parameter", "value", *_SUMMARY_COLUMNS], rows)
 
 
-def sweep(config: ExperimentConfig, parameter: str, values, seeds) -> SweepReport:
-    """Grid the config over one balancer hyperparameter and compare the cells.
+def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1) -> SweepReport:
+    """Grid the config over one balancer hyperparameter (a config key in
+    SWEEPABLE) and compare the cells, with `jobs` as in `compare`.
 
     Normalized-spread references are skipped (sweeps measure performance and
     coefficient spikiness per cell, not transfer).
     """
     if parameter not in SWEEPABLE:
-        raise ConfigError(f"parameter must be one of {sorted(SWEEPABLE)}, got {parameter!r}")
+        hint = "; the balancer's learning rate is 'balancer_lr'" if parameter == "lr" else ""
+        raise ConfigError(f"parameter must be one of {list(SWEEPABLE)}, got {parameter!r}{hint}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    fld = SWEEPABLE[parameter]
     variants = [
-        dataclasses.replace(config, **{fld: v}, name=f"{parameter}={float(v):g}") for v in values
+        dataclasses.replace(config, **{parameter: v}, name=f"{parameter}={float(v):g}")
+        for v in values
     ]
-    report = compare(variants, seeds, normalized_spread=False)
+    report = compare(variants, seeds, normalized_spread=False, jobs=jobs)
     return SweepReport(parameter=parameter, values=values, comparison=report)
 
 

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -128,9 +130,17 @@ class TestRunCommand:
         assert "numerical abort" in proc.stderr and "loss for task 1 is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_exits_one_without_traceback(self, config_file, tmp_path, seed):
+        proc = run_cli(["run", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                        "--seed", seed], tmp_path)
+        assert proc.returncode == 1
+        assert "config error: seed must be in [0, 2**64)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
-        "setting", ["n_samples = 20", "latent_dim = 0", "lr = nan", "balancer_lr = nan",
-                    "temperature = nan", "alpha = nan"],
+        "setting", ["seed = -1", "n_samples = 20", "latent_dim = 0", "lr = nan",
+                    "balancer_lr = nan", "temperature = nan", "alpha = nan"],
     )
     def test_invalid_setting_exits_one_without_traceback(self, tmp_path, setting):
         cfg = tmp_path / "bad.cfg"
@@ -170,12 +180,76 @@ class TestCompareCommand:
         assert rc == 1
 
     def test_bad_seed_list_rejected(self, config_file, tmp_path):
-        for seeds in ("1..x", "1,1"):
+        for seeds in ("1..x", "1,1", "-3..-2", "1,18446744073709551616"):
             rc = main(
-                ["compare", "--config", str(config_file), "--methods", "ema", "--seeds", seeds,
+                ["compare", "--config", str(config_file), "--methods", "ema", f"--seeds={seeds}",
                  "--out", str(tmp_path)]
             )
             assert rc == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, config_file, tmp_path, capsys, jobs):
+        rc = main(["compare", "--config", str(config_file), "--methods", "ema", "--seeds", "1",
+                   "--jobs", jobs, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_jobs_do_not_change_the_table(self, config_file, tmp_path):
+        args = ["compare", "--config", str(config_file), "--methods", "baseline,uw",
+                "--seeds", "1..3"]
+        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(tmp_path / "parallel")]) == 0
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        serial = (tmp_path / "serial" / "compare.csv").read_bytes()
+        assert (tmp_path / "parallel" / "compare.csv").read_bytes() == serial
+        assert (tmp_path / "default" / "compare.csv").read_bytes() == serial
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc for children")
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["ctrl-c", "kill"])
+    def test_stopping_a_parallel_compare_stops_its_worker(self, tmp_path, sig):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("scenario = celeb-mini\niterations = 100000\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mtlbal.cli", "compare", "--config", str(cfg), "--methods",
+             "ema", "--seeds", "1,2", "--jobs", "2", "--out", str(tmp_path / "o")],
+            env=env, cwd=tmp_path, stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+
+        def alive(pid):  # a zombie has finished; only its parent has not reaped it yet
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        def worker():
+            for pid in children.read_text().split():
+                if "spawn_main" in Path(f"/proc/{pid}/cmdline").read_text():
+                    return pid
+            return None
+
+        try:
+            deadline = time.monotonic() + 60
+            while (pid := worker()) is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pid is not None
+            time.sleep(1.0)  # let the worker start training
+            if sig == signal.SIGINT:  # Ctrl-C reaches the whole foreground process group
+                os.killpg(proc.pid, sig)
+            else:
+                proc.send_signal(sig)
+            assert proc.wait(timeout=30) != 0
+            deadline = time.monotonic() + 30
+            while alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not alive(pid)
+        finally:
+            try:  # whatever is left of the process group
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
 
 class TestSweepCommand:
@@ -189,6 +263,12 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
         assert lines[1].split(",")[1] == "0.5"
+
+    def test_optimizer_lr_is_not_sweepable(self, config_file, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(config_file), "--param", "lr", "--values", "0.1",
+                   "--out", str(tmp_path / "s")])
+        assert rc == 1
+        assert "'balancer_lr'" in capsys.readouterr().err
 
 
 class TestSingleTaskCommand:

@@ -1,5 +1,6 @@
 """Harness contracts: config schema, determinism, comparisons, failure policy."""
 
+import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -24,6 +25,7 @@ from mtlbal.balancers import (
 )
 from mtlbal.harness import (
     SCENARIOS,
+    SWEEPABLE,
     ConfigError,
     ExperimentConfig,
     NumericalAbort,
@@ -106,6 +108,8 @@ class TestConfig:
             (dict(alpha=float("nan")), "alpha"),
             (dict(lr=float("nan")), "lr"),
             (dict(balancer_lr=float("nan")), "balancer_lr"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=2**64), "seed"),
             (dict(scenario=None, tasks=(TaskSpec("multiclass-ce", 3, 1.0, "a"),) * 2), "task labels"),
             # An unnamed task i is labelled task<i>, so a name can shadow it.
             (dict(scenario=None, tasks=(TaskSpec("binary-bce", 1, 1.0, "task1"), TaskSpec("binary-bce"))),
@@ -113,6 +117,10 @@ class TestConfig:
         ]:
             with pytest.raises(ConfigError, match=match):
                 fast_config(**kw).validate()
+
+    def test_seed_range_ends_are_valid(self):
+        for seed in (0, 2**64 - 1):
+            fast_config(seed=seed).validate()
 
     def test_scenario_xor_tasks(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -448,6 +456,16 @@ class TestCompare:
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             compare([fast_config()], [1, 2, 1], normalized_spread=False)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed must be in"):
+            compare([fast_config()], [1, seed], normalized_spread=False)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            compare([fast_config()], [1], normalized_spread=False, jobs=jobs)
+
     def test_non_balancer_difference_rejected(self):
         a = fast_config(balancer="ema")
         b = dataclasses.replace(fast_config(balancer="dwa"), batch_size=8)
@@ -547,6 +565,63 @@ class TestCompare:
         assert t1 == t2
 
 
+class TestParallelCompare:
+    """Seeds split between this process and one spawned worker (two processes
+    at most) give the serial report bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 2)
+
+    # Three seeds split unevenly: this process runs seeds 1 and 3, the worker 2.
+    @pytest.mark.parametrize(
+        "base, check",
+        [
+            (fast_config(iterations=20), lambda r: all(x.norm_spread is not None for x in r.rows)),
+            # uw's cells fail on every seed.
+            (OVERFLOW, lambda r: {x.method for x in r.rows if x.status == "failed"} == {"uw"}),
+            # Every seed's references abort; some methods still finish.
+            (DIVERGENT, lambda r: {x.status for x in r.rows} == {"ok", "failed"}
+             and all(x.norm_spread is None for x in r.rows)),
+        ],
+        ids=["spread", "uw-overflow", "references-abort"],
+    )
+    def test_all_methods_match_serial(self, base, check):
+        configs = [dataclasses.replace(base, balancer=m, name=m) for m in BALANCER_NAMES]
+        serial = compare(configs, [1, 2, 3], jobs=1)
+        parallel = compare(configs, [1, 2, 3], jobs=2)
+        assert check(serial)
+        assert parallel.to_table_text() == serial.to_table_text()
+        assert repr(parallel.rows) == repr(serial.rows)
+
+    def test_sweep_matches_serial(self):
+        cfg = fast_config(balancer="uw", iterations=20)
+        serial = sweep(cfg, "balancer_lr", [0.1, 0.01], [1, 2, 3], jobs=1)
+        assert sweep(cfg, "balancer_lr", [0.1, 0.01], [1, 2, 3], jobs=2).to_table_text() == (
+            serial.to_table_text()
+        )
+
+    def test_process_count_is_capped(self, monkeypatch):
+        pools = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        configs = [fast_config(iterations=5)]
+        serial = compare(configs, [1, 2, 3], normalized_spread=False)
+        # Two usable cores: one worker besides this process, whatever `jobs` asks.
+        capped = compare(configs, [1, 2, 3], normalized_spread=False, jobs=8)
+        assert pools == [1]
+        assert capped.to_table_text() == serial.to_table_text()
+        compare(configs, [1], normalized_spread=False, jobs=8)  # one seed
+        monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 1)
+        compare(configs, [1, 2], normalized_spread=False, jobs=8)  # one core
+        assert pools == [1]
+
+
 class TestSweep:
     def test_single_value_sweep_equals_compare(self):
         cfg = fast_config(balancer="ema")
@@ -575,3 +650,11 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="parameter"):
             sweep(fast_config(), "warp", [1.0], [1])
+
+    def test_parameters_are_config_keys(self):
+        assert SWEEPABLE == ("beta", "temperature", "alpha", "balancer_lr")
+        # The optimizer's lr is not a balancer setting; the error names the one that is.
+        with pytest.raises(ConfigError, match="'balancer_lr'"):
+            sweep(fast_config(), "lr", [0.1], [1])
+        sw = sweep(fast_config(balancer="uw", iterations=10), "balancer_lr", [0.1], [1])
+        assert sw.to_table_text().splitlines()[1].startswith("balancer_lr,0.10000000000000001,")
