@@ -1,8 +1,8 @@
-"""Tour of the plumbing: dataset generation/export, metrics, state snapshots.
+"""Tour of the plumbing: dataset generation, metrics, state snapshots.
 
-Generates a small mixed-kind problem, round-trips it through the text
-format, scores a trivial predictor with the composite metric, and shows
-that a serialized balancer resumes bit-identically.
+Generates a small mixed-kind problem, scores a trivial predictor with the
+composite metric, and shows that a serialized balancer resumes
+bit-identically.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import numpy as np
 from mtlbal.balancers import LossVector, make_balancer, restore, snapshot
 from mtlbal.metrics import ccc, composite_score, f1_binary, f1_macro
 from mtlbal.rng import SplitMix64
-from mtlbal.tasks import TaskSpec, dataset_from_text, dataset_to_text, generate_mtl
+from mtlbal.tasks import TaskSpec, generate_mtl
 
 specs = (
     TaskSpec("binary-bce", 1, 1.0, "flag"),
@@ -18,11 +18,8 @@ specs = (
     TaskSpec("regression-mse", 1, 5.0, "level"),
 )
 data = generate_mtl(seed=99, input_dim=6, n_samples=200, specs=specs, relatedness=0.5)
-text = dataset_to_text(data)
-back = dataset_from_text(text)
-assert dataset_to_text(back) == text
 print(f"dataset: {data.n_samples} samples, {len(specs)} tasks, "
-      f"{len(text.splitlines())} lines exported, round-trip exact")
+      f"{data.train_index.size} train / {data.test_index.size} test rows")
 
 test = data.test_index
 stream = SplitMix64(5)

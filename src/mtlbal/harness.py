@@ -501,7 +501,7 @@ def _record(config: ExperimentConfig, data: Dataset, reference, dominant) -> Run
         composite=result.composite,
         task_metrics=[t.metric for t in result.task_results],
         test_losses=losses.tolist(),
-        spikiness=coefficient_spikiness(result.trace),
+        spikiness=coefficient_spikiness(result.trace.weight_means()),
     )
     if reference is not None:
         norm = losses / reference
@@ -574,7 +574,14 @@ def _parallel_seed_records(seeds: list, processes: int, args: tuple) -> dict:
     try:
         own = seeds[::processes]
         futures = {s: pool.submit(_seed_records, s, *args) for s in seeds if s not in own}
-        cells = {s: _seed_records(s, *args) for s in own}
+        cells = {}
+        for s in own:
+            # A finished worker's error (say, a broken pool) is raised now,
+            # not after this process has trained all of its own seeds.
+            for future in futures.values():
+                if future.done():
+                    future.result()
+            cells[s] = _seed_records(s, *args)
         cells.update((s, future.result()) for s, future in futures.items())
     except BaseException:
         # Ctrl-C or a failure: stop the workers now rather than after their

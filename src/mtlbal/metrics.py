@@ -12,6 +12,7 @@ concurrently once a run finishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,11 @@ def ccc(predictions, labels) -> float:
     vx = float(np.mean((x - mx) ** 2))
     vy = float(np.mean((y - my) ** 2))
     cov = float(np.mean((x - mx) * (y - my)))
-    denom = vx + vy + (mx - my) ** 2
+    try:
+        gap = (mx - my) ** 2
+    except OverflowError:  # a float power raises where numpy gives inf
+        gap = math.inf
+    denom = vx + vy + gap
     if denom == 0.0:
         return 1.0 if np.array_equal(x, y) else 0.0
     return 2.0 * cov / denom
@@ -135,13 +140,14 @@ class Trace:
         return np.array([float(r.weights.mean()) for r in self.rows])
 
 
-def coefficient_spikiness(trace) -> float:
-    """Largest relative jump of the mean coefficient between logged rows.
+def coefficient_spikiness(means) -> float:
+    """Largest relative jump of the mean coefficient between logged rows,
+    given each row's mean weight (`Trace.weight_means`).
 
-    max over t of |mean(t) - mean(t-1)| / max(mean(t-1), EPS_FLOOR); a trace
-    with fewer than two rows has no jumps and scores 0.
+    max over t of |mean(t) - mean(t-1)| / max(mean(t-1), EPS_FLOOR); fewer
+    than two rows have no jumps and score 0.
     """
-    means = trace.weight_means() if hasattr(trace, "weight_means") else np.asarray(trace, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
     if means.size < 2:
         return 0.0
     prev = means[:-1]

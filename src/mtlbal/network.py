@@ -31,7 +31,6 @@ import numpy as np
 
 from .rng import SplitMix64, derive
 from .tasks import Batch, loss_and_grad
-from .textio import Fields, fmt_vec, parse_vec
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "softmax")
 
@@ -458,60 +457,3 @@ def adam_step(
     update *= lr
     update /= denom
     params.vector -= update
-
-
-# ---------------------------------------------------------------------------
-# Parameter checkpoints: structured text, exact round-trip.
-# ---------------------------------------------------------------------------
-
-_CHECKPOINT_HEADER = "model-checkpoint v1"
-
-
-def params_to_text(params: ModelParams) -> str:
-    lines = [_CHECKPOINT_HEADER, f"heads = {params.n_tasks}"]
-
-    def emit(prefix: str, specs, views):
-        lines.append(f"{prefix}.layers = {len(specs)}")
-        for i, ((fan_in, fan_out, act), (w, b)) in enumerate(zip(specs, views)):
-            lines.append(f"{prefix}{i} = {act} {fan_in} {fan_out}")
-            lines.append(f"{prefix}{i}.weight = {fmt_vec(w.ravel())}")
-            lines.append(f"{prefix}{i}.bias = {fmt_vec(b)}")
-
-    emit("trunk", params.trunk_layers, params.trunk)
-    for k in range(params.n_tasks):
-        emit(f"head{k}.", params.head_layers[k], params.head(k))
-    return "\n".join(lines) + "\n"
-
-
-def params_from_text(text: str) -> ModelParams:
-    """Inverse of `params_to_text`; any malformed input raises ValueError."""
-    fields = Fields(text.splitlines(), _CHECKPOINT_HEADER, "model checkpoint")
-
-    def floats(key: str, count: int) -> np.ndarray:
-        return parse_vec(fields.get(key), count, key)
-
-    def read(prefix: str):
-        specs, values = [], []
-        for i in range(int(fields.get(f"{prefix}.layers"))):
-            parts = fields.get(f"{prefix}{i}").split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed layer line for {prefix}{i}: {parts}")
-            fan_in, fan_out = int(parts[1]), int(parts[2])
-            specs.append((fan_in, fan_out, parts[0]))
-            values.append(floats(f"{prefix}{i}.weight", fan_in * fan_out))
-            values.append(floats(f"{prefix}{i}.bias", fan_out))
-        return specs, values
-
-    trunk, values = read("trunk")
-    heads = []
-    for k in range(int(fields.get("heads"))):
-        specs, head_values = read(f"head{k}.")
-        heads.append(specs)
-        values += head_values
-    fields.finish()
-    params = ModelParams(trunk, heads)
-    arrays = [a for w, b in params.trunk for a in (w, b)]
-    arrays += [a for k in range(params.n_tasks) for w, b in params.head(k) for a in (w, b)]
-    for arr, vals in zip(arrays, values):
-        arr[...] = np.reshape(vals, arr.shape)
-    return params

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import SplitMix64, derive
-from .textio import Fields, fmt, fmt_vec
+from .textio import fmt
 
 TASK_KINDS = ("regression-mse", "binary-bce", "multiclass-ce")
 
@@ -77,7 +77,6 @@ class Dataset:
     specs: tuple
     relatedness: float
     latent_dim: int
-    noise: float = NOISE_FRACTION
 
     def batch(self, index: np.ndarray) -> Batch:
         """The rows listed in the integer array `index`."""
@@ -100,7 +99,6 @@ def generate_mtl(
     specs,
     relatedness: float,
     latent_dim: int | None = None,
-    noise: float = NOISE_FRACTION,
 ) -> Dataset:
     """Generate a synthetic multi-task dataset; see the module docstring.
 
@@ -137,7 +135,7 @@ def generate_mtl(
     for spec, w_k in zip(specs, w_indep):
         w = relatedness * w_common[:, : spec.output_dim] + (1.0 - relatedness) * w_k
         pre = latent @ w
-        sigma = noise * float(pre.std())
+        sigma = NOISE_FRACTION * float(pre.std())
         noisy = pre + sigma * noise_block[:, : spec.output_dim]
         if spec.kind == "regression-mse":
             targets.append(noisy * spec.loss_scale)
@@ -159,7 +157,6 @@ def generate_mtl(
         specs=specs,
         relatedness=relatedness,
         latent_dim=latent_dim,
-        noise=noise,
     )
 
 
@@ -230,17 +227,6 @@ def loss_and_grad(
     return (loss, grad) if stacked else (float(loss[0]), grad[0])
 
 
-# ---------------------------------------------------------------------------
-# Dataset export/import: header block then comma-delimited rows.
-# ---------------------------------------------------------------------------
-
-_DATASET_HEADER = "mtl-dataset v1"
-_DATASET_KEYS = (
-    "seed", "input_dim", "n_samples", "relatedness", "latent_dim", "noise",
-    "tasks", "train_index", "test_index",
-)
-
-
 def _spec_from_text(text: str) -> TaskSpec:
     parts = text.split(":")
     if len(parts) != 4:
@@ -254,99 +240,3 @@ def specs_to_text(specs) -> str:
 
 def specs_from_text(text: str) -> tuple:
     return tuple(_spec_from_text(p.strip()) for p in text.split(";") if p.strip())
-
-
-def dataset_to_text(data: Dataset) -> str:
-    """Serialize a Dataset to delimited text, exact at 17 significant digits."""
-    lines = [
-        _DATASET_HEADER,
-        f"seed = {data.seed}",
-        f"input_dim = {data.input_dim}",
-        f"n_samples = {data.n_samples}",
-        f"relatedness = {fmt(data.relatedness)}",
-        f"latent_dim = {data.latent_dim}",
-        f"noise = {fmt(data.noise)}",
-        f"tasks = {specs_to_text(data.specs)}",
-        "train_index = " + ",".join(str(i) for i in data.train_index),
-        "test_index = " + ",".join(str(i) for i in data.test_index),
-        "data:",
-    ]
-    for i in range(data.n_samples):
-        cells = [fmt_vec(data.inputs[i])]
-        for spec, block in zip(data.specs, data.targets):
-            if spec.kind == "multiclass-ce":
-                cells.append(str(int(block[i])))
-            else:
-                cells.append(fmt_vec(np.atleast_1d(block[i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def dataset_from_text(text: str) -> Dataset:
-    """Rebuild a Dataset from `dataset_to_text` output; any malformed input
-    (a duplicated, unknown or missing header key, a row of the wrong width,
-    a class label out of range, or indices that do not split the rows into
-    train and test, each row once) raises ValueError."""
-    lines = text.splitlines()
-    if "data:" not in lines:
-        raise ValueError("dataset export has no data section")
-    row_start = lines.index("data:") + 1
-    fields = Fields(lines[: row_start - 1], _DATASET_HEADER, "dataset export")
-    header = {key: fields.opt(key) for key in _DATASET_KEYS}
-    fields.finish()  # unknown keys first: a misspelt key is reported as such
-    missing = [key for key, value in header.items() if value is None]
-    if missing:
-        raise ValueError(f"dataset header missing keys {missing}")
-
-    specs = specs_from_text(header["tasks"])
-    n_samples = int(header["n_samples"])
-    input_dim = int(header["input_dim"])
-    if input_dim < 1:
-        raise ValueError(f"input_dim must be positive, got {input_dim}")
-    rows = [ln.split(",") for ln in lines[row_start:] if ln]
-    if len(rows) != n_samples:
-        raise ValueError(f"expected {n_samples} rows, found {len(rows)}")
-    width = input_dim + sum(1 if s.kind == "multiclass-ce" else s.output_dim for s in specs)
-    for i, cells in enumerate(rows):
-        if len(cells) != width:
-            raise ValueError(f"row {i} has {len(cells)} cells, expected {width}")
-
-    inputs = np.empty((n_samples, input_dim))
-    targets = [
-        np.empty(n_samples, dtype=np.int64)
-        if s.kind == "multiclass-ce"
-        else np.empty((n_samples, s.output_dim))
-        for s in specs
-    ]
-    for i, cells in enumerate(rows):
-        inputs[i] = [float(c) for c in cells[:input_dim]]
-        pos = input_dim
-        for spec, block in zip(specs, targets):
-            if spec.kind == "multiclass-ce":
-                block[i] = int(cells[pos])
-                pos += 1
-            else:
-                block[i] = [float(c) for c in cells[pos : pos + spec.output_dim]]
-                pos += spec.output_dim
-    for spec, block in zip(specs, targets):
-        if spec.kind == "multiclass-ce" and ((block < 0) | (block >= spec.output_dim)).any():
-            raise ValueError(f"class labels of task {spec.name!r} outside [0, {spec.output_dim})")
-
-    train_index, test_index = (
-        np.array([int(v) for v in header[key].split(",")], dtype=np.int64)
-        for key in ("train_index", "test_index")
-    )
-    both = np.sort(np.concatenate([train_index, test_index]))
-    if not np.array_equal(both, np.arange(n_samples)):
-        raise ValueError(f"train_index and test_index do not split rows 0..{n_samples - 1}")
-    return Dataset(
-        inputs=inputs,
-        targets=targets,
-        train_index=train_index,
-        test_index=test_index,
-        seed=int(header["seed"]),
-        specs=specs,
-        relatedness=float(header["relatedness"]),
-        latent_dim=int(header["latent_dim"]),
-        noise=float(header["noise"]),
-    )

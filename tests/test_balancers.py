@@ -369,6 +369,30 @@ class TestScaleEquivariance:
         other = [0, 1, 3]
         assert np.array_equal(ours[:, other], theirs[:, other])
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from(["ema", "rema", "dwema-divide", "dwema-multiply"]),
+        beta=st.floats(0.01, 1.0),
+        temperature=st.floats(0.5, 10.0),
+        data=st.data(),
+    )
+    def test_dyadic_scales_scale_weights_exactly(self, method, beta, temperature, data):
+        # Losses in [0.1, 10] scaled by 2^j, |j| <= 16: EPS_FLOOR never binds,
+        # nothing overflows, and a power-of-two factor commutes with rounding.
+        k = data.draw(st.integers(1, 4))
+        steps = data.draw(st.integers(1, 8))
+        row = st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k)
+        losses = np.array(data.draw(st.lists(row, min_size=steps, max_size=steps)))
+        factors = 2.0 ** np.array(data.draw(st.lists(st.integers(-16, 16), min_size=k, max_size=k)))
+        name, _, mode = method.partition("-")
+
+        def weights(stream):
+            bal = make_balancer(name, beta=beta, temperature=temperature, dwema_mode=mode or "divide")
+            return np.array([bal.step(lv(r, t)).values for t, r in enumerate(stream)])
+
+        expected = weights(losses) * (factors if mode == "multiply" else 1.0 / factors)
+        assert np.array_equal(weights(losses * factors), expected)
+
     def test_rates_invariant_bitwise(self):
         stream = SplitMix64(99)
         base = grid_stream(stream, (3, 5))
@@ -414,6 +438,24 @@ class TestSnapshotRestore:
         b = self.drive(clone, SplitMix64(17), 6, start=6)
         assert np.array_equal(a, b)
         assert clone.iteration == bal.iteration
+
+    @settings(max_examples=80, deadline=None)
+    @given(method=st.sampled_from(METHODS), data=st.data())
+    def test_restore_at_a_random_step_continues_bitwise(self, method, data):
+        # Rates within [0.01, 100] keep every softmax coefficient above zero.
+        k = data.draw(st.integers(1, 4))
+        vector = st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k).map(np.array)
+        steps = data.draw(st.integers(1, 12))
+        cut = data.draw(st.integers(0, steps - 1))
+        bal = make_balancer(method)
+        losses = [data.draw(vector) for _ in range(steps)]
+        norms = [data.draw(vector) if bal.requires_grad_norms else None for _ in range(steps)]
+        for t in range(cut):
+            bal.step(lv(losses[t], t), norms[t])
+        clone = restore(snapshot(bal))
+        for t in range(cut, steps):
+            a = bal.step(lv(losses[t], t), norms[t]).values
+            assert np.array_equal(clone.step(lv(losses[t], t), norms[t]).values, a)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_fresh_state_roundtrips_hyperparameters(self, method):

@@ -1,16 +1,22 @@
 """End-to-end CLI behavior: files, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import mtlbal
+from mtlbal.balancers import BALANCER_NAMES, restore
 from mtlbal.cli import main
 
 FAST_CONFIG = """\
@@ -318,3 +324,74 @@ class TestUnwritableOutput:
         assert "config error: cannot write output directory" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+#: Loss scales from the smallest subnormal to near the largest double.
+SCALES = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1e308]),
+    st.floats(5e-324, 1e308, allow_subnormal=True),
+)
+
+
+class TestOutcomeContract:
+    """Every config ends in exit 0, 1 or 2 with no traceback, writes the same
+    bytes twice, and on a numerical abort prints a snapshot `restore` reads."""
+
+    @staticmethod
+    def invoke(argv):
+        """Exit code and stderr; an exception escaping `main` fails the test."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers(0, 2**64 - 1)),
+        kinds=st.lists(st.sampled_from(["regression-mse", "binary-bce", "multiclass-ce"]),
+                       min_size=1, max_size=3),
+        scales=st.lists(SCALES, min_size=3, max_size=3),
+        lr=st.one_of(st.sampled_from([1e-3, 1e300]), st.floats(1e-6, 1e300)),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        balancer=st.sampled_from(BALANCER_NAMES),
+        batch_size=st.sampled_from([1, 8, 24, 100]),
+        iterations=st.integers(0, 5),
+        command=st.sampled_from(["run", "single-task", "compare"]),
+    )
+    def test_exit_code_determinism_and_snapshot(
+        self, seed, kinds, scales, lr, optimizer, balancer, batch_size, iterations, command
+    ):
+        tasks = "; ".join(
+            f"{kind}:{3 if kind == 'multiclass-ce' else 1}:{scale!r}:t{i}"
+            for i, (kind, scale) in enumerate(zip(kinds, scales))
+        )
+        # n_samples at the floor of 10 per task: 8 training rows per task, so
+        # the larger batch sizes exceed the training rows.
+        config = (
+            f"tasks = {tasks}\nbalancer = {balancer}\noptimizer = {optimizer}\nlr = {lr!r}\n"
+            f"seed = {seed}\nn_samples = {10 * len(kinds)}\ninput_dim = 3\ntrunk = 4\n"
+            f"head_hidden = 2\niterations = {iterations}\nbatch_size = {batch_size}\n"
+            "log_cadence = 2\n"
+        )
+        extra = {
+            "run": [],
+            "single-task": ["--task", "0"],
+            "compare": ["--methods", balancer, f"--seeds={seed}", "--jobs", "1"],
+        }[command]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "exp.cfg").write_text(config)
+            outcomes, files = [], []
+            for name in ("a", "b"):
+                argv = [command, "--config", str(tmp / "exp.cfg"), "--out", str(tmp / name)]
+                outcomes.append(self.invoke(argv + extra))
+                files.append({p.name: p.read_bytes() for p in sorted((tmp / name).glob("*"))})
+        code, err = outcomes[0]
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert outcomes[1] == outcomes[0]
+        assert files[1] == files[0]
+        if code == 2:
+            snapshot = err[err.index("balancer-state v1"):]
+            assert restore(snapshot).iteration >= 0

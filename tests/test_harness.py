@@ -525,7 +525,7 @@ class TestCompare:
                 test_losses=losses.tolist(),
                 norm_spread=float(norm.max() / max(norm.min(), EPS_FLOOR)),
                 dominated_norm_loss=float(np.delete(norm, dominant).max()),
-                spikiness=coefficient_spikiness(result.trace),
+                spikiness=coefficient_spikiness(result.trace.weight_means()),
             )
 
     def test_reference_abort_disables_spread_but_proceeds(self):
@@ -620,6 +620,35 @@ class TestParallelCompare:
         monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 1)
         compare(configs, [1, 2], normalized_spread=False, jobs=8)  # one core
         assert pools == [1]
+
+    @pytest.mark.skipif(mtlbal.harness.usable_cores() < 2, reason="needs 2 usable cores")
+    def test_broken_pool_stops_the_parent_early(self, tmp_path):
+        # No __main__ guard: the spawned worker re-runs the script, fails to
+        # start a pool of its own, and breaks the parent's pool.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import multiprocessing, time\n"
+            "from mtlbal import ExperimentConfig, harness\n"
+            "own_seed = harness._seed_records\n"
+            "def slow_seed(seed, *args):\n"
+            "    if multiprocessing.parent_process() is None:\n"
+            "        print('parent starts seed', seed, flush=True)\n"
+            "    time.sleep(2.0)\n"
+            "    return own_seed(seed, *args)\n"
+            "harness._seed_records = slow_seed\n"
+            "config = ExperimentConfig(scenario='celeb-mini', n_samples=300, input_dim=4,\n"
+            "                          iterations=5, batch_size=16)\n"
+            "harness.compare([config], range(1, 6), normalized_spread=False, jobs=2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env, timeout=120, cwd=tmp_path)
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in proc.stderr
+        # This process owns seeds 1, 3 and 5; it must stop before the third.
+        started = proc.stdout.split("\n")
+        assert "parent starts seed 1" in started
+        assert "parent starts seed 5" not in started
 
 
 class TestSweep:

@@ -90,6 +90,10 @@ class TestCcc:
         assert ccc(same, same.copy()) == 1.0
         assert ccc(same, np.array([4.0, 4.0, 4.0])) == 0.0
 
+    def test_overflowing_mean_gap_scores_zero(self):
+        # (mean_x - mean_y)^2 overflows a float: the denominator is inf.
+        assert ccc(np.array([0.0, 1.0]), np.array([1e200, 1e200])) == 0.0
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             ccc(np.array([1.0]), np.array([1.0]))
@@ -149,14 +153,14 @@ class TestSpikiness:
         trace = Trace(task_names=("a", "b"))
         for t in range(5):
             trace.append(make_row(t, [1.3, 0.7]))
-        assert coefficient_spikiness(trace) == 0.0
+        assert coefficient_spikiness(trace.weight_means()) == 0.0
 
     def test_mean_doubling_once_scores_one(self):
         trace = Trace(task_names=("a", "b"))
         trace.append(make_row(0, [1.0, 1.0]))
         trace.append(make_row(1, [2.0, 2.0]))
         trace.append(make_row(2, [2.0, 2.0]))
-        assert coefficient_spikiness(trace) == 1.0
+        assert coefficient_spikiness(trace.weight_means()) == 1.0
 
     def test_fast_ema_spikier_than_slow_on_same_noisy_stream(self):
         stream = SplitMix64(40)
@@ -172,7 +176,7 @@ class TestSpikiness:
 
     def test_short_trace_scores_zero(self):
         trace = Trace(task_names=("a",))
-        assert coefficient_spikiness(trace) == 0.0
+        assert coefficient_spikiness(trace.weight_means()) == 0.0
 
 
 class TestTrace:

@@ -4,14 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mtlbal.rng import SplitMix64
 from mtlbal.tasks import (
     TaskSpec,
-    dataset_from_text,
-    dataset_to_text,
     generate_mtl,
     loss_and_grad,
     specs_from_text,
@@ -115,6 +111,13 @@ class TestGenerateMtl:
         assert data.targets[2].dtype == np.int64
         assert data.targets[2].min() >= 0 and data.targets[2].max() < 4
 
+    def test_batch_view(self):
+        data = generate_mtl(2, 4, 60, (BIN, CE), 0.4)
+        batch = data.batch(np.array([3, 5, 8]))
+        assert batch.inputs.shape == (3, 4)
+        assert batch.targets[0].shape == (3, 1)
+        assert batch.specs == data.specs
+
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValueError):
             generate_mtl(1, 1, 100, (BIN,), 0.5)
@@ -214,91 +217,3 @@ class TestLossAndGrad:
     def test_non_integer_class_labels_rejected(self, labels):
         with pytest.raises(ValueError, match="class labels must be integers"):
             loss_and_grad("multiclass-ce", np.full((2, 3), 1 / 3), labels)
-
-
-class TestDatasetSerialization:
-    def test_roundtrip_is_exact(self):
-        data = generate_mtl(9, 5, 80, (BIN, REG, CE), 0.4)
-        text = dataset_to_text(data)
-        back = dataset_from_text(text)
-        assert np.array_equal(back.inputs, data.inputs)
-        for a, b in zip(back.targets, data.targets):
-            assert np.array_equal(a, b)
-            assert a.dtype == b.dtype
-        assert np.array_equal(back.train_index, data.train_index)
-        assert np.array_equal(back.test_index, data.test_index)
-        assert back.specs == data.specs
-        assert dataset_to_text(back) == text
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            dataset_from_text("junk\n")
-        data = generate_mtl(9, 4, 50, (BIN,), 0.4)
-        text = dataset_to_text(data)
-        with pytest.raises(ValueError):
-            dataset_from_text(text.replace("n_samples = 50", "n_samples = 49"))
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda t: t.replace("seed = 9\n", "seed = 9\nseed = 99\n"), "duplicate"),
-            (lambda t: t.replace("seed = 9\n", "seed = 9\ncolour = red\n"), "unknown"),
-            (lambda t: t.replace("noise = ", "noize = "), "unknown"),
-            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1] + [999]), "split"),
-            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1] + [-1]), "split"),
-            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1] + [0]), "split"),
-            (lambda t: _edit_index(t, "test_index", lambda ix: ix[:-1]), "split"),
-        ],
-        ids=["duplicate-key", "unknown-key", "renamed-key", "index-out-of-range",
-             "negative-index", "overlapping-index", "uncovered-row"],
-    )
-    def test_strict_header_and_split(self, edit, message):
-        text = dataset_to_text(generate_mtl(9, 3, 20, (BIN, CE), 0.4))
-        with pytest.raises(ValueError, match=message):
-            dataset_from_text(edit(text))
-
-    def test_class_labels_checked(self):
-        data = generate_mtl(9, 3, 20, (BIN, CE), 0.4)
-        lines = dataset_to_text(data).splitlines()
-        row = lines.index("data:") + 1
-        lines[row] = lines[row].rsplit(",", 1)[0] + ",4"
-        with pytest.raises(ValueError, match="class label"):
-            dataset_from_text("\n".join(lines) + "\n")
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_damaged_export_raises_only_value_error(self, data):
-        lines = dataset_to_text(generate_mtl(9, 3, 30, (BIN, REG, CE), 0.4)).splitlines()
-        i = data.draw(st.integers(0, len(lines) - 1))
-        action = data.draw(st.sampled_from(["truncate", "drop", "duplicate", "replace", "cut"]))
-        if action == "truncate":
-            lines = lines[:i]
-        elif action == "drop":
-            del lines[i]
-        elif action == "duplicate":
-            lines.insert(i, lines[i])
-        elif action == "replace":
-            lines[i] = data.draw(st.text(alphabet="ab:;=, .0123456789-e", max_size=16))
-        else:
-            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
-        try:
-            dataset_from_text("\n".join(lines) + "\n")
-        except ValueError:
-            pass
-
-    def test_batch_view(self):
-        data = generate_mtl(2, 4, 60, (BIN, CE), 0.4)
-        batch = data.batch(np.array([3, 5, 8]))
-        assert batch.inputs.shape == (3, 4)
-        assert batch.targets[0].shape == (3, 1)
-        assert batch.specs == data.specs
-
-
-def _edit_index(text, key, change):
-    """Apply `change` to the index list on the `key = ...` header line."""
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith(f"{key} = "):
-            values = [int(v) for v in line.split(" = ", 1)[1].split(",")]
-            lines[i] = f"{key} = " + ",".join(str(v) for v in change(values))
-    return "\n".join(lines) + "\n"
