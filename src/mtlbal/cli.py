@@ -30,7 +30,7 @@ def _parse_seeds(text: str) -> list:
                 raise ValueError("range end before start")
             return list(range(lo, hi + 1))
         return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad seed list {text!r}: {exc}") from exc
 
 

@@ -2,9 +2,8 @@
 
 A run is fully determined by its config: the dataset comes from the seed,
 parameter init and batch order come from purpose-derived sub-streams of the
-same seed, and every emitted byte is reproducible (wall-clock duration is
-kept only on the in-memory result). Weights for iteration t are computed
-from the losses measured at t, before the optimizer step.
+same seed, and every emitted byte is reproducible. Weights for iteration t
+are computed from the losses measured at t, before the optimizer step.
 
 Distinct (config, seed) runs are independent; each run is sequential over
 iterations. A comparison's seeds may run in separate processes; its tables
@@ -17,7 +16,6 @@ import dataclasses
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +206,6 @@ class RunResult:
     task_results: list
     composite: float
     trace: Trace
-    duration_s: float  # in-memory only; never written to output files
 
 
 def _make_balancer(config: ExperimentConfig):
@@ -250,7 +247,6 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
     batch_stream = SplitMix64(derive(config.seed, BATCH_STREAM_TAG))
     n_train, size = data.train_index.size, config.batch_size
     moments = network.init_moments(params) if config.optimizer == "adam" else None
-    cache = None  # the run's step buffers, allocated by the first forward
     recent: list = []  # the losses of the two previous steps, oldest first
 
     for t in range(config.iterations):
@@ -267,7 +263,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
         # loss check on aborts this run, not the process. Errors before it
         # (a malformed batch or parameters) propagate as they are.
         with np.errstate(over="ignore", invalid="ignore"):
-            cache = network.forward_cache(params, batch.inputs, cache)
+            cache = network.forward_cache(params, batch.inputs)
             raw_losses = network.task_losses(params, cache, batch)
             try:
                 loss_vec = LossVector(raw_losses, iteration=t)
@@ -369,7 +365,6 @@ def _run(config: ExperimentConfig, data: Dataset | None, task_index: int | None 
     specs = config.resolved_tasks()
     if task_index is not None and not 0 <= task_index < len(specs):
         raise ConfigError(f"task index {task_index} out of range for {len(specs)} tasks")
-    started = time.perf_counter()
     data = _dataset_for(config, specs, data)
     params = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, specs
@@ -391,7 +386,6 @@ def _run(config: ExperimentConfig, data: Dataset | None, task_index: int | None 
         task_results=task_results,
         composite=composite,
         trace=trace,
-        duration_s=time.perf_counter() - started,
     )
 
 
@@ -714,8 +708,9 @@ def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # repr round-trips a float, so distinct values get distinct labels.
     variants = [
-        dataclasses.replace(config, **{parameter: v}, name=f"{parameter}={float(v):g}")
+        dataclasses.replace(config, **{parameter: v}, name=f"{parameter}={float(v)!r}")
         for v in values
     ]
     report = compare(variants, seeds, normalized_spread=False, jobs=jobs)

@@ -14,10 +14,10 @@ weight; the per-task pieces at the LAST trunk layer (the designated
 parameter subset for gradient-norm balancing) feed both the grad-norm probe
 and the weighted trunk backward, and the weights multiply afterwards.
 
-A ForwardCache holds a run's step buffers, sized by the parameter layout
-and the batch size: forward and backward write into them, so a step
-allocates little beyond the loss and Adam's temporaries, and each head group
-takes one loss call.
+A ForwardCache records one step's forward pass, made new on every step;
+the losses (one loss call per head group), the grad-norm probe and the
+backward pass given that cache share its head pass. Every array a step
+returns is its own: nothing is overwritten by the next step.
 
 Parameters are single-owner during training; reductions over tasks run in
 task order, so a fixed seed gives a bitwise-identical trajectory.
@@ -45,50 +45,41 @@ OUTPUT_ACTIVATION = {
 INIT_STREAM_TAG = 0x1217
 
 
-def _activate(cache: "ForwardCache", key, z: np.ndarray, kind: str) -> np.ndarray:
-    """kind(z), into buffers of `cache` named after `key`."""
+def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """kind(z) as a new array (z itself for linear)."""
     if kind == "linear":
         return z
-    a = cache.buffer(key + ("a",), z.shape)
     if kind == "relu":
-        return np.maximum(z, 0.0, out=a)
+        return np.maximum(z, 0.0)
     if kind == "sigmoid":
         # exp(-|z|) cannot overflow: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
-        one_plus = cache.buffer(key + ("tmp",), z.shape)
-        z_nonneg = cache.buffer(key + ("mask",), z.shape, bool)
-        np.exp(np.negative(np.abs(z, out=a), out=a), out=a)
-        np.add(a, 1.0, out=one_plus)
-        np.divide(a, one_plus, out=a)
-        np.greater_equal(z, 0.0, out=z_nonneg)
-        return np.divide(1.0, one_plus, out=a, where=z_nonneg)
-    row = cache.buffer(key + ("row",), z.shape[:-1] + (1,))
-    np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True, out=row), out=a)
+        a = np.exp(-np.abs(z))
+        one_plus = a + 1.0
+        a /= one_plus
+        return np.divide(1.0, one_plus, out=a, where=z >= 0.0)
+    a = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(a, out=a)
-    return np.divide(a, np.add.reduce(a, axis=-1, keepdims=True, out=row), out=a)
+    a /= np.add.reduce(a, axis=-1, keepdims=True)
+    return a
 
 
-def _backprop(cache: "ForwardCache", key, up: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str):
+def _backprop(up: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     """Gradient with respect to z given `up`, the gradient with respect to
-    a = kind(z), into a buffer of `cache` shaped like `up` (which has a
-    leading task axis at the last trunk layer)."""
+    a = kind(z), as a new array shaped like `up` (which has a leading task
+    axis at the last trunk layer)."""
     if kind == "linear":
         return up
-    d = cache.buffer(key + ("delta",), up.shape)
     if kind == "relu":
         # where(z > 0, up, 0.0) without a branch per element (np.where
         # mispredicts on a random mask): z > 0 as 0 or -1, all bits set,
         # ANDed with the bits of `up`. A multiply by the mask would give
         # -0.0 or NaN (inf * 0) where this gives +0.0.
-        mask = cache.buffer(key + ("bits",), z.shape, np.int64)
-        np.negative(np.greater(z, 0.0, out=mask), out=mask)
-        np.bitwise_and(up.view(np.int64), mask, out=d.view(np.int64))
-        return d
+        mask = np.negative(z > 0.0, dtype=np.int64)
+        return np.bitwise_and(up.view(np.int64), mask).view(np.float64)
     if kind == "sigmoid":
-        one_minus = np.subtract(1.0, a, out=cache.buffer(key + ("tmp",), a.shape))
-        return np.multiply(np.multiply(up, a, out=d), one_minus, out=d)
-    row = cache.buffer(key + ("delta_row",), up.shape[:-1] + (1,))
-    np.add.reduce(np.multiply(up, a, out=d), axis=-1, keepdims=True, out=row)
-    return np.multiply(a, np.subtract(up, row, out=d), out=d)
+        return up * a * (1.0 - a)
+    row = np.add.reduce(up * a, axis=-1, keepdims=True)
+    return a * (up - row)
 
 
 class ModelParams:
@@ -212,65 +203,46 @@ def init_params(seed: int, input_dim: int, trunk_sizes, head_hidden, specs) -> M
 
 
 class ForwardCache:
-    """One forward pass over a batch, plus the losses, the unit-weight head
-    pass and the gradient derived from it on first use.
+    """One forward pass over a batch, plus the losses and the unit-weight
+    head pass derived from it on first use.
 
     `trunk_z`/`trunk_a` hold each trunk layer's pre-activations and
     activations, `group_z`/`group_a` each head group's stacked ones of shape
-    (n, batch, fan_out), and `outputs[k]` is task k's prediction. They and
-    every backward array live in the cache's buffers, allocated on first use:
-    a training run passes one cache to every step's `forward_cache`, so it
-    allocates them once, and a forward-only cache allocates no backward ones.
+    (n, batch, fan_out), and `outputs[k]` is task k's prediction. A training
+    step makes a new cache; `task_losses`, `shared_layer_grad_norms` and
+    `backward` given that cache share its losses and head pass.
     """
 
-    def __init__(self, batch_size: int):
-        self.batch_size = batch_size
-        self.losses = self.pred_grads = self.unit = self.grad = None
-        self.unit_ready = False
-        self._buffers: dict = {}
-
-    def buffer(self, key, shape, dtype=np.float64) -> np.ndarray:
-        """The buffer named `key`, allocated with `shape` on first use."""
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = self._buffers[key] = np.empty(shape, dtype)
-        return buf
+    def __init__(self, inputs: np.ndarray):
+        self.inputs = inputs
+        self.trunk_z, self.trunk_a, self.group_z, self.group_a = [], [], [], []
+        self.losses = self.pred_grads = self.unit = self.deltas = None
 
     @property
     def shared(self) -> np.ndarray:
         return self.trunk_a[-1]
 
 
-def forward_cache(
-    params: ModelParams, inputs: np.ndarray, cache: ForwardCache | None = None
-) -> ForwardCache:
-    """Run the forward pass into `cache`, or into a new cache sized by
-    `inputs` when it is None, and return the cache. A reused cache's arrays
-    from the previous step, the gradient `backward` returned included, are
-    overwritten."""
+def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
+    """Run the forward pass over `inputs` and return it as a new cache."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"inputs {x.shape} do not match input_dim {params.input_dim}")
-    if cache is None:
-        cache = ForwardCache(x.shape[0])
-    elif x.shape[0] != cache.batch_size:
-        raise ValueError(f"cache holds batches of {cache.batch_size} rows, got {x.shape[0]}")
-    cache.inputs, cache.losses, cache.unit_ready = x, None, False
-    cache.trunk_z, cache.trunk_a, cache.group_z, cache.group_a = [], [], [], []
-    a, rows = x, x.shape[0]
-    for i, ((w, b), (_, _, act)) in enumerate(zip(params.trunk, params.trunk_layers)):
-        z = np.matmul(a, w, out=cache.buffer(("trunk", i), (rows, w.shape[1])))
+    cache = ForwardCache(x)
+    a = x
+    for (w, b), (_, _, act) in zip(params.trunk, params.trunk_layers):
+        z = np.matmul(a, w)
         z += b
-        a = _activate(cache, ("trunk", i), z, act)
+        a = _activate(z, act)
         cache.trunk_z.append(z)
         cache.trunk_a.append(a)
-    for g, (tasks, weights) in enumerate(zip(params.group_tasks, params.groups)):
+    for tasks, weights in zip(params.group_tasks, params.groups):
         zs, as_ = [], []
         h = a
-        for i, ((w, b), (_, _, act)) in enumerate(zip(weights, params.head_layers[tasks[0]])):
-            z = np.matmul(h, w, out=cache.buffer(("head", g, i), (len(tasks), rows, w.shape[2])))
+        for (w, b), (_, _, act) in zip(weights, params.head_layers[tasks[0]]):
+            z = np.matmul(h, w)
             z += b[:, None, :]
-            h = _activate(cache, ("head", g, i), z, act)
+            h = _activate(z, act)
             zs.append(z)
             as_.append(h)
         cache.group_z.append(zs)
@@ -280,8 +252,8 @@ def forward_cache(
 
 
 def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.ndarray:
-    """Raw (unweighted) per-task losses, a new array each step; also keeps
-    d loss / d prediction. One loss call per head group."""
+    """Raw (unweighted) per-task losses; also keeps d loss / d prediction.
+    One loss call per head group."""
     if cache.losses is None:
         losses, cache.pred_grads = np.empty(params.n_tasks), []
         for tasks, outputs in zip(params.group_tasks, cache.group_a):
@@ -299,28 +271,26 @@ def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.nda
     """Run the heads backward at unit task weight once per forward, keeping
     each head group's layer gradients in `cache.unit`; returns each task's
     gradient at the last trunk layer's pre-activation."""
-    if not cache.unit_ready:
+    if cache.deltas is None:
         task_losses(params, cache, batch)
-        at_shared = cache.buffer("at_shared", (params.n_tasks,) + cache.shared.shape)
-        if cache.unit is None:
-            cache.unit = [[(np.empty_like(w), np.empty_like(b)) for w, b in ws] for ws in params.groups]
+        at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
+        cache.unit = []
         for g, (tasks, weights) in enumerate(zip(params.group_tasks, params.groups)):
             up = cache.pred_grads[g]
             zs, as_ = cache.group_z[g], cache.group_a[g]
+            unit = []
             for i in range(len(weights) - 1, -1, -1):
                 act = params.head_layers[tasks[0]][i][2]
-                delta = _backprop(cache, ("head", g, i), up, zs[i], as_[i], act)
+                delta = _backprop(up, zs[i], as_[i], act)
                 below = as_[i - 1] if i > 0 else cache.shared
-                w = weights[i][0]
-                np.matmul(below.swapaxes(-1, -2), delta, out=cache.unit[g][i][0])
-                np.add.reduce(delta, axis=-2, out=cache.unit[g][i][1])
-                out = cache.buffer(("up", g, i), delta.shape[:-1] + w.shape[1:2])
-                up = np.matmul(delta, w.swapaxes(-1, -2), out=out)
+                grad_w = np.matmul(below.swapaxes(-1, -2), delta)
+                unit.append((grad_w, np.add.reduce(delta, axis=-2)))
+                up = np.matmul(delta, weights[i][0].swapaxes(-1, -2))
+            cache.unit.append(unit[::-1])
             at_shared[list(tasks)] = up
         last = len(params.trunk) - 1
         z, act = cache.trunk_z[last], params.trunk_layers[last][2]
-        cache.deltas = _backprop(cache, ("trunk", last), at_shared, z, cache.shared, act)
-        cache.unit_ready = True
+        cache.deltas = _backprop(at_shared, z, cache.shared, act)
     return cache.deltas
 
 
@@ -341,11 +311,8 @@ def _last_layer_pieces(params: ModelParams, batch: Batch, weights, cache) -> tup
     w = _weight_vector(params, weights)
     if cache is None:
         cache = forward_cache(params, batch.inputs)
-    deltas = _unit_pass(params, cache, batch)
-    scaled = np.multiply(w[:, None, None], deltas, out=cache.buffer("scaled", deltas.shape))
-    x = _trunk_input(cache, len(params.trunk) - 1)
-    shape = (params.n_tasks,) + params.trunk[-1][0].shape
-    last_w = np.matmul(x.T, scaled, out=cache.buffer("last_w", shape))
+    scaled = w[:, None, None] * _unit_pass(params, cache, batch)
+    last_w = np.matmul(_trunk_input(cache, len(params.trunk) - 1).T, scaled)
     return w, cache, scaled, last_w
 
 
@@ -354,41 +321,37 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
 
     Losses are returned UNWEIGHTED (balancers consume raw magnitudes); the
     gradient differentiates sum_k weight(k) * loss(k) with the weights as
-    constants, in the layout of `params.vector`. Pass the step's `cache` to
-    reuse its head pass; the gradient vector is then the cache's own buffer.
+    constants, as a new vector in the layout of `params.vector`. Pass the
+    step's `cache` to reuse its forward and head pass.
     Raises ValueError naming an array if that array's gradient is NaN.
     """
     w, cache, scaled, last_w = _last_layer_pieces(params, batch, weights, cache)
-    if cache.grad is None:
-        cache.grad = params.like(np.empty(params.vector.size))
-    grad = cache.grad
     # Per-task products are summed over tasks in task order, as running each
     # head alone would; at weight 1.0 the result is the same bit for bit.
-    last = len(params.trunk) - 1
-    last_b = np.add.reduce(scaled, axis=1, out=cache.buffer("last_b", last_w.shape[::2]))
-    np.add.reduce(last_w, axis=0, out=grad.trunk[last][0])
-    np.add.reduce(last_b, axis=0, out=grad.trunk[last][1])
-    delta = np.add.reduce(scaled, axis=0, out=cache.buffer("delta_sum", scaled.shape[1:]))
-    for i in range(last - 1, -1, -1):
+    last_b = np.add.reduce(scaled, axis=1)
+    # (weight, bias) gradients per trunk layer, top down; heads follow in layout order.
+    trunk = [(np.add.reduce(last_w, axis=0), np.add.reduce(last_b, axis=0))]
+    delta = np.add.reduce(scaled, axis=0)
+    for i in range(len(params.trunk) - 2, -1, -1):
         z, act = cache.trunk_z[i], params.trunk_layers[i][2]
-        up = np.matmul(delta, params.trunk[i + 1][0].T, out=cache.buffer(("up", i), z.shape))
-        delta = _backprop(cache, ("trunk", i), up, z, cache.trunk_a[i], act)
-        np.matmul(_trunk_input(cache, i).T, delta, out=grad.trunk[i][0])
-        np.add.reduce(delta, axis=0, out=grad.trunk[i][1])
-    for tasks, unit, scaled_heads in zip(params.group_tasks, cache.unit, grad.groups):
+        up = np.matmul(delta, params.trunk[i + 1][0].T)
+        delta = _backprop(up, z, cache.trunk_a[i], act)
+        grad_w = np.matmul(_trunk_input(cache, i).T, delta)
+        trunk.append((grad_w, np.add.reduce(delta, axis=0)))
+    heads = []
+    for tasks, unit in zip(params.group_tasks, cache.unit):
         w_g = w[list(tasks)]
-        for (unit_w, unit_b), (grad_w, grad_b) in zip(unit, scaled_heads):
-            np.multiply(w_g[:, None, None], unit_w, out=grad_w)
-            np.multiply(w_g[:, None], unit_b, out=grad_b)
+        heads += [(w_g[:, None, None] * unit_w, w_g[:, None] * unit_b) for unit_w, unit_b in unit]
+    grad = np.concatenate([a.ravel() for pair in trunk[::-1] + heads for a in pair])
     # Sum-based probe: NaN anywhere poisons the sum, but so do +inf and -inf
     # in different arrays; abort only if one array's own sum is NaN.
-    s = float(np.add.reduce(grad.vector))
+    s = float(np.add.reduce(grad))
     if s != s:
-        for name, pair in _probe_order(grad, last_w, last_b):
+        for name, pair in _probe_order(params.like(grad), last_w, last_b):
             for part, arr in zip(("weight", "bias"), pair):
                 if np.isnan(arr.sum()):
                     raise ValueError(f"NaN gradient in {name.format(part)}")
-    return list(cache.losses), grad.vector
+    return list(cache.losses), grad
 
 
 def _probe_order(grads: ModelParams, last_w: np.ndarray, last_b: np.ndarray):

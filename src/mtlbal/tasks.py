@@ -138,7 +138,10 @@ def generate_mtl(
         sigma = NOISE_FRACTION * float(pre.std())
         noisy = pre + sigma * noise_block[:, : spec.output_dim]
         if spec.kind == "regression-mse":
-            targets.append(noisy * spec.loss_scale)
+            # An overflowing scale gives inf targets, and the run then ends
+            # in a NumericalAbort rather than a warning here.
+            with np.errstate(over="ignore"):
+                targets.append(noisy * spec.loss_scale)
         elif spec.kind == "binary-bce":
             targets.append((noisy > 0).astype(np.float64))
         else:

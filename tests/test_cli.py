@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import mtlbal
@@ -186,7 +186,7 @@ class TestCompareCommand:
         assert rc == 1
 
     def test_bad_seed_list_rejected(self, config_file, tmp_path):
-        for seeds in ("1..x", "1,1", "-3..-2", "1,18446744073709551616"):
+        for seeds in ("1..x", "1,1", "-3..-2", "1,18446744073709551616", "0..18446744073709551615"):
             rc = main(
                 ["compare", "--config", str(config_file), "--methods", "ema", f"--seeds={seeds}",
                  "--out", str(tmp_path)]
@@ -269,6 +269,13 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
         assert lines[1].split(",")[1] == "0.5"
+
+    def test_values_equal_to_six_digits_are_distinct(self, config_file, tmp_path):
+        argv = ["sweep", "--config", str(config_file), "--param", "beta", "--seeds", "1"]
+        rc = main(argv + ["--values", "0.1,0.1000001", "--out", str(tmp_path / "a")])
+        assert rc == 0
+        assert len((tmp_path / "a" / "sweep.csv").read_text().splitlines()) == 3
+        assert main(argv + ["--values", "0.1,0.10", "--out", str(tmp_path / "b")]) == 1
 
     def test_optimizer_lr_is_not_sweepable(self, config_file, tmp_path, capsys):
         rc = main(["sweep", "--config", str(config_file), "--param", "lr", "--values", "0.1",
@@ -358,6 +365,10 @@ class TestOutcomeContract:
         iterations=st.integers(0, 5),
         command=st.sampled_from(["run", "single-task", "compare"]),
     )
+    # A 1e308 scale overflows a regression target to inf while generating.
+    @example(seed=93, kinds=["regression-mse", "regression-mse"], scales=[5e-324, 1e308, 5e-324],
+             lr=1e-3, optimizer="adam", balancer="baseline", batch_size=1, iterations=0,
+             command="run")
     def test_exit_code_determinism_and_snapshot(
         self, seed, kinds, scales, lr, optimizer, balancer, batch_size, iterations, command
     ):

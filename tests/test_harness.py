@@ -326,8 +326,8 @@ class TestBaselineEquivalence:
 
 
 def fresh_buffer_losses(config, data, params, balancer):
-    """Each step's losses from a loop that draws one batch per call and
-    gives every step fresh buffers: the reference for buffer reuse."""
+    """Each step's losses from a loop that draws one batch per call, the
+    reference for `_train`'s block of batch draws."""
     stream = SplitMix64(derive(config.seed, mtlbal.harness.BATCH_STREAM_TAG))
     moments = network.init_moments(params)
     k, out = len(data.specs), []
@@ -353,6 +353,10 @@ def setup_run(config):
 
 
 class TestStepBuffers:
+    """`_train` draws its batches in blocks yet follows the per-step draws
+    bit for bit, and no two arrays it keeps (trace rows, balancer history)
+    share memory."""
+
     @pytest.mark.parametrize("balancer", ["ema", "gradnorm"])
     def test_logged_rows_hold_copies_equal_to_fresh_buffers(self, balancer):
         # 70 steps cross a block of batch draws (64 steps).
