@@ -18,7 +18,7 @@ specs = (
     TaskSpec("regression-mse", 1, 5.0, "level"),
 )
 data = generate_mtl(seed=99, input_dim=6, n_samples=200, specs=specs, relatedness=0.5)
-print(f"dataset: {data.n_samples} samples, {len(specs)} tasks, "
+print(f"dataset: {data.settings['n_samples']} samples, {len(specs)} tasks, "
       f"{data.train_index.size} train / {data.test_index.size} test rows")
 
 test = data.test_index

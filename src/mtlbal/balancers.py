@@ -392,14 +392,12 @@ _HYPER_NAMES = {name for cls in _CLASSES.values() for name in cls.hyper}
 def make_balancer(name: str, **hyper) -> Balancer:
     """Construct a balancer by its config name.
 
-    Takes any hyperparameter some method declares (`dwema_mode` names
-    `mode`); the named method ignores those it does not declare and takes
-    its declared default for each one left out.
+    Takes any hyperparameter some method declares; the named method ignores
+    those it does not declare and takes its declared default for each one
+    left out.
     """
     if name not in _CLASSES:
         raise ValueError(f"unknown balancer {name!r}; expected one of {BALANCER_NAMES}")
-    if "dwema_mode" in hyper:
-        hyper["mode"] = hyper.pop("dwema_mode")
     if unknown := sorted(set(hyper) - _HYPER_NAMES):
         raise TypeError(f"make_balancer got unexpected arguments {unknown}")
     cls = _CLASSES[name]

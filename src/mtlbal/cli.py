@@ -32,6 +32,8 @@ def _parse_seeds(text: str) -> list:
         return [int(p) for p in text.split(",") if p.strip()]
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad seed list {text!r}: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"bad seed list {text!r}: too many seeds") from exc
 
 
 def _load_config(path: str) -> harness.ExperimentConfig:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network
+from . import network, tasks
 from .balancers import (
     _VALID,
     BALANCER_NAMES,
@@ -53,15 +53,13 @@ class ConfigError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """A run produced a non-finite total loss (CLI exit code 2)."""
+    """A run left the finite range (CLI exit code 2): in a training step or
+    in its test metrics. The raiser words the whole message."""
 
-    def __init__(self, iteration: int, balancer_snapshot: str, detail: str = ""):
+    def __init__(self, iteration: int, balancer_snapshot: str, message: str):
         self.iteration = iteration
         self.balancer_snapshot = balancer_snapshot
-        msg = f"non-finite loss at iteration {iteration}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(message)
 
 
 # Built-in scenarios. celeb-mini: eight binary tasks, one loss-scaled x50,
@@ -146,18 +144,10 @@ class ExperimentConfig:
             raise ConfigError("trunk needs at least one positive layer size")
         if any(s < 1 for s in self.head_hidden):
             raise ConfigError("head_hidden sizes must be positive")
-        if self.input_dim < 2:
-            raise ConfigError(f"input_dim must be >= 2, got {self.input_dim}")
         names = task_names(self.resolved_tasks())
         if len(set(names)) < len(names):
             raise ConfigError(f"task labels must be unique, got {names}")
-        floor = 10 * len(names)
-        if self.n_samples < floor:
-            raise ConfigError(f"n_samples must be >= 10 per task ({floor}), got {self.n_samples}")
-        if self.latent_dim is not None and self.latent_dim < 1:
-            raise ConfigError(f"latent_dim must be positive, got {self.latent_dim}")
-        if not 0.0 <= self.relatedness <= 1.0:
-            raise ConfigError(f"relatedness must be in [0, 1], got {self.relatedness}")
+        self.data_settings()
 
     @property
     def label(self) -> str:
@@ -165,6 +155,17 @@ class ExperimentConfig:
 
     def resolved_tasks(self) -> tuple:
         return SCENARIOS[self.scenario] if self.scenario else tuple(self.tasks)
+
+    def data_settings(self) -> dict:
+        """The settings of the dataset this config generates (see
+        `tasks.data_settings`); ConfigError if one is out of range."""
+        try:
+            return tasks.data_settings(
+                self.seed, self.input_dim, self.n_samples, self.resolved_tasks(),
+                self.relatedness, self.latent_dim,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _check_seed(seed: int) -> None:
@@ -176,17 +177,6 @@ def _check_seed(seed: int) -> None:
 def task_names(specs) -> tuple:
     """Each task's label: its name, or task<i> for an unnamed task i."""
     return tuple(s.name or f"task{i}" for i, s in enumerate(specs))
-
-
-def metric_group(spec: TaskSpec, name: str) -> str:
-    """Composite-score group for a task: regressions pool into one mean-CCC
-    group, binaries pool into one mean-F1 group, each multiclass task is its
-    own F1 group."""
-    if spec.kind == "regression-mse":
-        return "ccc"
-    if spec.kind == "binary-bce":
-        return "binary_f1"
-    return f"f1_{name}"
 
 
 @dataclass
@@ -213,25 +203,13 @@ def _make_balancer(config: ExperimentConfig):
     return make_balancer(config.balancer, **hyper)
 
 
-def _generate(config: ExperimentConfig, specs) -> Dataset:
-    return generate_mtl(
-        seed=config.seed,
-        input_dim=config.input_dim,
-        n_samples=config.n_samples,
-        specs=specs,
-        relatedness=config.relatedness,
-        latent_dim=config.latent_dim,
-    )
-
-
-def _dataset_for(config: ExperimentConfig, specs, data: Dataset | None) -> Dataset:
-    """`data` if it is the dataset `config` generates (a cheap check of the
-    generation inputs), a fresh one if it is None; ConfigError otherwise."""
+def _dataset_for(config: ExperimentConfig, data: Dataset | None) -> Dataset:
+    """`data` if it is the dataset `config` generates (its settings match),
+    a fresh one if it is None; ConfigError otherwise."""
+    settings = config.data_settings()
     if data is None:
-        return _generate(config, specs)
-    got = (data.seed, data.specs, data.n_samples, data.input_dim, data.relatedness, data.latent_dim)
-    wanted = (config.seed, tuple(specs), config.n_samples, config.input_dim, config.relatedness)
-    if got != wanted + (config.latent_dim or config.input_dim,):
+        return generate_mtl(**settings)
+    if data.settings != settings:
         raise ConfigError("data was not generated from this config's seed and data settings")
     return data
 
@@ -276,13 +254,14 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
                 total = combine(weights, loss_vec)
                 if not math.isfinite(total):
                     raise ValueError("weighted total not finite")
-                _, grads = network.backward(params, batch, weights, cache)
+                _, grads = network.backward(params, batch, weights.values, cache)
                 if config.optimizer == "adam":
                     network.adam_step(params, grads, moments, t + 1, config.lr)
                 else:
                     network.sgd_step(params, grads, config.lr)
             except ValueError as exc:
-                raise NumericalAbort(t, snapshot(balancer), str(exc)) from exc
+                message = f"non-finite loss at iteration {t}: {exc}"
+                raise NumericalAbort(t, snapshot(balancer), message) from exc
 
         losses = loss_vec.values
         if t % config.log_cadence == 0 or t == config.iterations - 1:
@@ -315,20 +294,25 @@ def evaluate_model(params, data: Dataset):
             out = cache.outputs[k]
             target = data.targets[k][data.test_index]
             loss_k = loss_and_grad(spec.kind, out, target, spec.loss_scale)[0]
+            # Composite groups: regressions pool into one mean-CCC group, binaries
+            # into one mean-F1 group, and each multiclass task is its own F1 group.
             if spec.kind == "binary-bce":
                 metric = f1_binary((out >= 0.5).astype(np.float64), target)
+                group = "binary_f1"
             elif spec.kind == "multiclass-ce":
                 metric = f1_macro(np.argmax(out, axis=1), target, spec.output_dim)
+                group = f"f1_{name}"
             else:
                 cols = [ccc(out[:, j], target[:, j]) for j in range(spec.output_dim)]
                 metric = float(np.mean(cols))
+                group = "ccc"
             results.append(
                 TaskResult(
                     name=name,
                     kind=spec.kind,
                     metric=metric,
                     test_loss=loss_k,
-                    group=metric_group(spec, name),
+                    group=group,
                 )
             )
     composite = composite_score([(r.metric, r.group) for r in results])
@@ -365,7 +349,7 @@ def _run(config: ExperimentConfig, data: Dataset | None, task_index: int | None 
     specs = config.resolved_tasks()
     if task_index is not None and not 0 <= task_index < len(specs):
         raise ConfigError(f"task index {task_index} out of range for {len(specs)} tasks")
-    data = _dataset_for(config, specs, data)
+    data = _dataset_for(config, data)
     params = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, specs
     )
@@ -380,7 +364,8 @@ def _run(config: ExperimentConfig, data: Dataset | None, task_index: int | None 
     trace = _train(config, data, params, balancer)
     task_results, composite = evaluate_model(params, data)
     if not np.isfinite([composite] + [t.test_loss for t in task_results]).all():
-        raise NumericalAbort(config.iterations, snapshot(balancer), "non-finite test metrics")
+        message = f"non-finite test metrics after {config.iterations} iterations"
+        raise NumericalAbort(config.iterations, snapshot(balancer), message)
     return RunResult(
         config=config,
         task_results=task_results,
@@ -522,7 +507,7 @@ def _seed_records(seed: int, configs, specs, normalized_spread: bool, dominant) 
     policy: a seed whose references abort has no spread statistics.
     """
     seed_cfg = dataclasses.replace(configs[0], seed=seed)
-    data = _generate(seed_cfg, specs)
+    data = _dataset_for(seed_cfg, None)
     reference = None
     if normalized_spread:
         try:

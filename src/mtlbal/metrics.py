@@ -88,22 +88,18 @@ def composite_score(parts, required_groups=None) -> float:
     group may; a missing or unconfigured group is a hard error.
     """
     groups: dict[str, list[float]] = {}
-    order: list[str] = []
     for value, tag in parts:
-        if tag not in groups:
-            groups[tag] = []
-            order.append(tag)
-        groups[tag].append(float(value))
+        groups.setdefault(tag, []).append(float(value))
     if required_groups is not None:
         required = list(required_groups)
         missing = [g for g in required if g not in groups]
         if missing:
             raise ValueError(f"missing configured metric groups: {missing}")
-        extra = [g for g in order if g not in required]
+        extra = [g for g in groups if g not in required]
         if extra:
             raise ValueError(f"unconfigured metric groups: {extra}")
-        order = required
-    return float(sum(np.mean(groups[g]) for g in order))
+        groups = {g: groups[g] for g in required}
+    return float(sum(np.mean(values) for values in groups.values()))
 
 
 @dataclass

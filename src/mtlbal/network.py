@@ -298,17 +298,12 @@ def _trunk_input(cache: ForwardCache, layer: int) -> np.ndarray:
     return cache.trunk_a[layer - 1] if layer > 0 else cache.inputs
 
 
-def _weight_vector(params: ModelParams, weights) -> np.ndarray:
-    w = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
-    if w.shape != (params.n_tasks,):
-        raise ValueError(f"need {params.n_tasks} weights, got shape {w.shape}")
-    return w
-
-
 def _last_layer_pieces(params: ModelParams, batch: Batch, weights, cache) -> tuple:
     """Each task's weighted gradient piece at the last trunk layer's weight;
-    the weights scale the unit pass before the matmul."""
-    w = _weight_vector(params, weights)
+    the weights, an array of one per task, scale the unit pass before the matmul."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (params.n_tasks,):
+        raise ValueError(f"need {params.n_tasks} weights, got shape {w.shape}")
     if cache is None:
         cache = forward_cache(params, batch.inputs)
     scaled = w[:, None, None] * _unit_pass(params, cache, batch)
@@ -399,16 +394,11 @@ def init_moments(params: ModelParams) -> np.ndarray:
 
 
 def adam_step(
-    params: ModelParams,
-    grads: np.ndarray,
-    moments: np.ndarray,
-    t: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: ModelParams, grads: np.ndarray, moments: np.ndarray, t: int, lr: float
 ) -> None:
-    """Bias-corrected Adam update for step `t` (counted from 1), in place."""
+    """Bias-corrected Adam update for step `t` (counted from 1), in place,
+    with beta1 0.9, beta2 0.999 and eps 1e-8."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     m, v = moments
     m *= beta1
     m += (1.0 - beta1) * grads

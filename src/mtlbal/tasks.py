@@ -10,8 +10,8 @@ targets are the argmax column.
 
 Everything is drawn from one splitmix64 stream in a fixed, documented order
 (inputs, B, W_common, each W_indep, noise, split permutation), so a Dataset
-is a pure function of its arguments. Datasets are immutable after creation
-and freely shareable.
+is a pure function of its arguments, which `data_settings` checks and a
+Dataset keeps as its `settings`. Datasets are immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -67,29 +67,47 @@ class Batch(NamedTuple):
 
 @dataclass
 class Dataset:
-    """Sampled inputs/targets for K tasks plus a train/test index split."""
+    """Inputs/targets for K tasks, a train/test index split, and their `settings`."""
 
     inputs: np.ndarray
     targets: list
     train_index: np.ndarray
     test_index: np.ndarray
-    seed: int
     specs: tuple
-    relatedness: float
-    latent_dim: int
+    settings: dict
 
     def batch(self, index: np.ndarray) -> Batch:
         """The rows listed in the integer array `index`."""
         inputs, *targets = (a.take(index, axis=0) for a in [self.inputs, *self.targets])
         return Batch(inputs, targets, self.specs)
 
-    @property
-    def n_samples(self) -> int:
-        return self.inputs.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.inputs.shape[1]
+def data_settings(seed, input_dim, n_samples, specs, relatedness, latent_dim) -> dict:
+    """The arguments of `generate_mtl`, checked, with latent_dim resolved (None
+    means input_dim). Raises ValueError naming the first bad setting; the range
+    checks are written so that NaN fails them."""
+    specs = tuple(specs)
+    if not specs:
+        raise ValueError("need at least one task spec")
+    if not input_dim >= 2:
+        raise ValueError(f"input_dim must be >= 2, got {input_dim}")
+    floor = 10 * len(specs)
+    if not n_samples >= floor:
+        raise ValueError(f"n_samples must be >= 10 per task ({floor}), got {n_samples}")
+    if latent_dim is None:
+        latent_dim = input_dim
+    if not latent_dim >= 1:
+        raise ValueError(f"latent_dim must be positive, got {latent_dim}")
+    if not 0.0 <= relatedness <= 1.0:
+        raise ValueError(f"relatedness must be in [0, 1], got {relatedness}")
+    return dict(
+        seed=seed,
+        input_dim=input_dim,
+        n_samples=n_samples,
+        specs=specs,
+        relatedness=relatedness,
+        latent_dim=latent_dim,
+    )
 
 
 def generate_mtl(
@@ -107,20 +125,8 @@ def generate_mtl(
     columns), so tasks with identical specs receive identical noise, and at
     relatedness 1 their target blocks are identical before scaling.
     """
-    specs = tuple(specs)
-    k = len(specs)
-    if k < 1:
-        raise ValueError("need at least one task spec")
-    if input_dim < 2:
-        raise ValueError(f"input_dim must be >= 2, got {input_dim}")
-    if n_samples < 10 * k:
-        raise ValueError(f"need n_samples >= 10*K = {10 * k}, got {n_samples}")
-    if not 0.0 <= relatedness <= 1.0:
-        raise ValueError(f"relatedness must be in [0, 1], got {relatedness}")
-    if latent_dim is None:
-        latent_dim = input_dim
-    if latent_dim < 1:
-        raise ValueError(f"latent_dim must be positive, got {latent_dim}")
+    settings = data_settings(seed, input_dim, n_samples, specs, relatedness, latent_dim)
+    specs, latent_dim = settings["specs"], settings["latent_dim"]
 
     stream = SplitMix64(derive(seed, DATA_STREAM_TAG))
     x = stream.normal((n_samples, input_dim))
@@ -156,10 +162,8 @@ def generate_mtl(
         targets=targets,
         train_index=train_index,
         test_index=test_index,
-        seed=seed,
         specs=specs,
-        relatedness=relatedness,
-        latent_dim=latent_dim,
+        settings=settings,
     )
 
 

@@ -387,7 +387,7 @@ class TestScaleEquivariance:
         name, _, mode = method.partition("-")
 
         def weights(stream):
-            bal = make_balancer(name, beta=beta, temperature=temperature, dwema_mode=mode or "divide")
+            bal = make_balancer(name, beta=beta, temperature=temperature, mode=mode or "divide")
             return np.array([bal.step(lv(r, t)).values for t, r in enumerate(stream)])
 
         expected = weights(losses) * (factors if mode == "multiply" else 1.0 / factors)
@@ -525,7 +525,7 @@ class TestSnapshotRestore:
     @given(data=st.data())
     def test_damaged_snapshot_raises_only_value_error(self, data):
         method = data.draw(st.sampled_from(self.METHODS))
-        bal = make_balancer(method, dwema_mode=data.draw(st.sampled_from(["divide", "multiply"])))
+        bal = make_balancer(method, mode=data.draw(st.sampled_from(["divide", "multiply"])))
         self.drive(bal, SplitMix64(3), data.draw(st.integers(0, 3)))
         lines = snapshot(bal).splitlines()
         i = data.draw(st.integers(0, len(lines) - 1))
@@ -593,7 +593,7 @@ class TestMakeBalancer:
     def test_keywords_defaults_and_unknown_names(self):
         # Hyperparameters the method does not declare are ignored; the rest
         # default to the class's declaration.
-        bal = make_balancer("dwema", beta=0.3, dwema_mode="multiply", alpha=2.0, learning_rate=1.0)
+        bal = make_balancer("dwema", beta=0.3, mode="multiply", alpha=2.0, learning_rate=1.0)
         assert (bal.beta, bal.temperature, bal.mode) == (0.3, Dwema.hyper["temperature"], "multiply")
         assert make_balancer("dwa").temperature == Dwa.hyper["temperature"]
         with pytest.raises(TypeError, match="gamma"):

@@ -136,6 +136,19 @@ class TestRunCommand:
         assert "numerical abort" in proc.stderr and "loss for task 1 is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_test_metric_abort_is_not_a_training_loss_abort(self, tmp_path, capsys):
+        # A 1e308 scale overflows a regression target to inf while
+        # generating, so the test metrics are non-finite before any step.
+        cfg = tmp_path / "inf-target.cfg"
+        cfg.write_text(
+            "tasks = regression-mse:1:5e-324:a; regression-mse:1:1e308:b\nbalancer = baseline\n"
+            "n_samples = 20\ninput_dim = 3\niterations = 0\nseed = 93\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite test metrics after 0 iterations" in err
+        assert "non-finite loss" not in err
+
     @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
     def test_seed_outside_64_bits_exits_one_without_traceback(self, config_file, tmp_path, seed):
         proc = run_cli(["run", "--config", str(config_file), "--out", str(tmp_path / "o"),
@@ -186,7 +199,8 @@ class TestCompareCommand:
         assert rc == 1
 
     def test_bad_seed_list_rejected(self, config_file, tmp_path):
-        for seeds in ("1..x", "1,1", "-3..-2", "1,18446744073709551616", "0..18446744073709551615"):
+        for seeds in ("1..x", "1,1", "-3..-2", "1,18446744073709551616", "0..18446744073709551615",
+                      "0..4611686018427387903"):
             rc = main(
                 ["compare", "--config", str(config_file), "--methods", "ema", f"--seeds={seeds}",
                  "--out", str(tmp_path)]

@@ -193,7 +193,7 @@ class TestConfig:
             return
         # A config that validates can be set up: data and parameters.
         specs = parsed.resolved_tasks()
-        mtlbal.harness._generate(parsed, specs)
+        generate_mtl(**parsed.data_settings())
         network.init_params(parsed.seed, parsed.input_dim, parsed.trunk, parsed.head_hidden, specs)
 
     def test_parse_comments_and_blanks(self):
@@ -244,6 +244,48 @@ class TestBalancerRulesHaveOneHome:
         for cls in BALANCER_CLASSES:
             if hyper in cls.hyper:
                 assert getattr(ExperimentConfig(), key) == cls.hyper[hyper], cls.__name__
+
+
+class TestDataRulesHaveOneHome:
+    """The config accepts a data setting exactly when `generate_mtl` does, and
+    `data=` is checked against the settings with latent_dim resolved."""
+
+    @staticmethod
+    def generation_args(cfg):
+        return dict(seed=cfg.seed, input_dim=cfg.input_dim, n_samples=cfg.n_samples,
+                    specs=cfg.resolved_tasks(), relatedness=cfg.relatedness,
+                    latent_dim=cfg.latent_dim)
+
+    @pytest.mark.parametrize("key, grid", [
+        ("input_dim", [1, 2]),
+        ("n_samples", [80, 79]),  # celeb-mini's floor of 10 per task, and one below
+        ("latent_dim", [None, 0, 1]),
+        ("relatedness", [-0.0, 0.0, 1.0, 1.0 + 2**-52, float("nan"), float("inf"),
+                         float("-inf")]),
+    ])
+    def test_config_rejects_exactly_what_generation_rejects(self, key, grid):
+        for value in grid:
+            cfg = fast_config(**{key: value})
+            try:
+                cfg.validate()
+                config_rejects = False
+            except ConfigError as exc:
+                assert key in str(exc), (key, value)
+                config_rejects = True
+            try:
+                generate_mtl(**self.generation_args(cfg))
+                generation_rejects = False
+            except ValueError as exc:
+                assert key in str(exc), (key, value)
+                generation_rejects = True
+            assert config_rejects == generation_rejects, (key, value)
+
+    def test_default_latent_dim_is_input_dim(self):
+        cfg = fast_config(iterations=0)
+        assert cfg.latent_dim is None
+        data = generate_mtl(**{**self.generation_args(cfg), "latent_dim": cfg.input_dim})
+        assert data.settings == cfg.data_settings()
+        assert run_experiment(cfg, data).composite == run_experiment(cfg).composite
 
 
 class TestRunExperiment:
@@ -299,7 +341,7 @@ class TestRunExperiment:
         cfg = fast_config(iterations=2)
         specs = cfg.resolved_tasks()
         params = network.init_params(cfg.seed, cfg.input_dim + 1, cfg.trunk, cfg.head_hidden, specs)
-        data = mtlbal.harness._generate(cfg, specs)
+        data = generate_mtl(**cfg.data_settings())
         with pytest.raises(ValueError, match="do not match input_dim"):
             mtlbal.harness._train(cfg, data, params, mtlbal.harness._make_balancer(cfg))
 
@@ -339,7 +381,7 @@ def fresh_buffer_losses(config, data, params, balancer):
         if balancer.requires_grad_norms:
             norms = network.shared_layer_grad_norms(params, batch, balancer.coefficients(k), cache)
         weights = balancer.step(LossVector(losses, iteration=t), norms)
-        _, grads = network.backward(params, batch, weights, cache)
+        _, grads = network.backward(params, batch, weights.values, cache)
         network.adam_step(params, grads, moments, t + 1, config.lr)
         out.append(losses)
     return out
@@ -347,7 +389,7 @@ def fresh_buffer_losses(config, data, params, balancer):
 
 def setup_run(config):
     specs = config.resolved_tasks()
-    data = mtlbal.harness._generate(config, specs)
+    data = generate_mtl(**config.data_settings())
     params = network.init_params(config.seed, config.input_dim, config.trunk, config.head_hidden, specs)
     return data, params, mtlbal.harness._make_balancer(config)
 
