@@ -158,6 +158,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("config error: the config needs more memory than is available", file=sys.stderr)
+        return 1
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         print(exc.balancer_snapshot, file=sys.stderr)

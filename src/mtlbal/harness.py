@@ -33,7 +33,6 @@ from .balancers import (
 )
 from .metrics import (
     Trace,
-    TraceRow,
     ccc,
     coefficient_spikiness,
     composite_score,
@@ -42,7 +41,7 @@ from .metrics import (
 )
 from .rng import SplitMix64, derive
 from .tasks import Dataset, TaskSpec, generate_mtl, loss_and_grad, specs_from_text, specs_to_text
-from .textio import fmt
+from .textio import fmt, table_text
 
 #: Purpose tag for the batch-sampling stream.
 BATCH_STREAM_TAG = 0xBA7C
@@ -266,16 +265,14 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
         losses = loss_vec.values
         if t % config.log_cadence == 0 or t == config.iterations - 1:
             rates = rate_ratios(recent, k)
-            trace.append(
-                TraceRow(
-                    iteration=t,
-                    losses=losses,
-                    weights=weights.values.copy(),
-                    rates=rates,
-                    rate_std=float(rates.std()),
-                    weighted_total=total,
-                )
-            )
+            trace.append({
+                "iteration": t,
+                "loss_{}": losses,
+                "weight_{}": weights.values.copy(),
+                "rate_{}": rates,
+                "rate_std": float(rates.std()),
+                "weighted_total": total,
+            })
         recent = recent[-1:] + [losses]
     return trace
 
@@ -417,17 +414,15 @@ class MethodSummary:
     task_metric_means: list
 
 
-#: The summary columns compare.csv and sweep.csv share; `_summary_cells` fills them.
-_SUMMARY_COLUMNS = ["n_seeds", "n_failed", "wins", "composite_mean", "composite_std", "spikiness_mean"]
-
-
-def _summary_cells(s: MethodSummary) -> list:
-    counts = [str(s.n_seeds), str(s.n_failed), str(s.wins)]
-    return counts + [fmt(s.composite_mean), fmt(s.composite_std), fmt(s.spikiness_mean)]
-
-
-def _table_text(header: list, rows) -> str:
-    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+#: compare.csv's columns, in order; a name holding {} is one column per
+#: task. A table row maps each name to its value.
+COMPARE_COLUMNS = (
+    "method", "n_seeds", "n_failed", "wins", "composite_mean", "composite_std",
+    "spikiness_mean", "norm_spread_median", "dominated_norm_loss_median", "metric_{}_mean",
+)
+#: sweep.csv's columns: the swept key, its value and the per-seed counts and
+#: composite statistics of compare.csv.
+SWEEP_COLUMNS = ("parameter", "value", *COMPARE_COLUMNS[1:7])
 
 
 @dataclass
@@ -446,16 +441,9 @@ class ComparisonReport:
         return [r for r in self.rows if r.method == method]
 
     def to_table_text(self) -> str:
-        """Stable column order (see README): method, n_seeds, n_failed, wins,
-        composite_mean, composite_std, spikiness_mean, norm_spread_median,
-        dominated_norm_loss_median, then metric_<task>_mean per task."""
-        header = ["method", *_SUMMARY_COLUMNS, "norm_spread_median", "dominated_norm_loss_median"]
-        rows = [
-            [s.method, *_summary_cells(s), fmt(s.norm_spread_median), fmt(s.dominated_norm_loss_median)]
-            + [fmt(v) for v in s.task_metric_means]
-            for s in self.summaries
-        ]
-        return _table_text(header + [f"metric_{n}_mean" for n in self.task_names], rows)
+        """compare.csv: one row per method under `COMPARE_COLUMNS` (see README)."""
+        rows = [{**vars(s), "metric_{}_mean": s.task_metric_means} for s in self.summaries]
+        return table_text(COMPARE_COLUMNS, self.task_names, rows)
 
 
 def _dominant_index(specs) -> int | None:
@@ -671,13 +659,12 @@ class SweepReport:
     comparison: ComparisonReport
 
     def to_table_text(self) -> str:
-        """Columns: parameter, value, n_seeds, n_failed, wins, composite_mean,
-        composite_std, spikiness_mean."""
+        """sweep.csv: one row per value under `SWEEP_COLUMNS` (see README)."""
         rows = [
-            [self.parameter, fmt(value), *_summary_cells(summary)]
+            {"parameter": self.parameter, "value": float(value), **vars(summary)}
             for value, summary in zip(self.values, self.comparison.summaries)
         ]
-        return _table_text(["parameter", "value", *_SUMMARY_COLUMNS], rows)
+        return table_text(SWEEP_COLUMNS, self.comparison.task_names, rows)
 
 
 def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1) -> SweepReport:

@@ -2,9 +2,9 @@
 
 Scoring: binary F1, macro F1, concordance correlation (population moments),
 and a composite score assembled from tagged metric groups. Instrumentation:
-an append-only per-iteration Trace (losses, weights, training rates, their
-spread, and the weighted total) and how spiky the mean loss coefficient is
-across consecutive logged rows.
+an append-only per-iteration Trace with the columns `TRACE_COLUMNS`
+declares, and how spiky the mean loss coefficient is across consecutive
+logged rows.
 
 All metrics are pure functions; a Trace has a single writer and may be read
 concurrently once a run finishes.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancers import EPS_FLOOR
-from .textio import fmt, fmt_vec
+from .textio import table_text
 
 
 def f1_binary(predictions, labels) -> float:
@@ -102,30 +102,26 @@ def composite_score(parts, required_groups=None) -> float:
     return float(sum(np.mean(values) for values in groups.values()))
 
 
-@dataclass
-class TraceRow:
-    """One logged iteration of a training run."""
-
-    iteration: int
-    losses: np.ndarray
-    weights: np.ndarray
-    rates: np.ndarray
-    rate_std: float
-    weighted_total: float
+#: trace.csv's columns, in order; a name holding {} is one column per task.
+#: A trace row maps each of these names to its value.
+TRACE_COLUMNS = ("iteration", "loss_{}", "weight_{}", "rate_{}", "rate_std", "weighted_total")
 
 
 @dataclass
 class Trace:
-    """Append-only log of TraceRows with constant width and increasing time."""
+    """Append-only log of rows keyed by TRACE_COLUMNS, in increasing time."""
 
     task_names: tuple
     rows: list = field(default_factory=list)
 
-    def append(self, row: TraceRow) -> None:
+    def append(self, row: dict) -> None:
+        if tuple(row) != TRACE_COLUMNS:
+            raise ValueError(f"trace row columns {tuple(row)} are not {TRACE_COLUMNS}")
         k = len(self.task_names)
-        if not (row.losses.size == row.weights.size == row.rates.size == k):
-            raise ValueError(f"trace row width does not match {k} tasks")
-        if self.rows and row.iteration <= self.rows[-1].iteration:
+        for name, value in row.items():
+            if np.shape(value) != ((k,) if "{}" in name else ()):
+                raise ValueError(f"trace column {name!r} width does not match {k} tasks")
+        if self.rows and row["iteration"] <= self.rows[-1]["iteration"]:
             raise ValueError("trace iterations must be strictly increasing")
         self.rows.append(row)
 
@@ -133,7 +129,7 @@ class Trace:
         return len(self.rows)
 
     def weight_means(self) -> np.ndarray:
-        return np.array([float(r.weights.mean()) for r in self.rows])
+        return np.array([float(r["weight_{}"].mean()) for r in self.rows])
 
 
 def coefficient_spikiness(means) -> float:
@@ -157,22 +153,5 @@ def coefficient_spikiness(means) -> float:
 
 
 def trace_to_text(trace: Trace) -> str:
-    """Column order: iteration, loss_*, weight_*, rate_* (task order),
-    rate_std, weighted_total."""
-    names = trace.task_names
-    header = (
-        ["iteration"]
-        + [f"loss_{n}" for n in names]
-        + [f"weight_{n}" for n in names]
-        + [f"rate_{n}" for n in names]
-        + ["rate_std", "weighted_total"]
-    )
-    lines = [",".join(header)]
-    for r in trace.rows:
-        cells = (
-            [str(r.iteration)]
-            + [fmt_vec(r.losses), fmt_vec(r.weights), fmt_vec(r.rates)]
-            + [fmt(r.rate_std), fmt(r.weighted_total)]
-        )
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """trace.csv: the rows under `TRACE_COLUMNS` (see README)."""
+    return table_text(TRACE_COLUMNS, trace.task_names, trace.rows)

@@ -1,7 +1,8 @@
 """The one text codec behind every file mtlbal writes or reads back.
 
 Floats are written at 17 significant digits, which round-trips every
-float64 exactly; vectors are comma-joined floats. A readable document is a
+float64 exactly; vectors are comma-joined floats. A CSV table is written
+from its declared column list by `table_text`. A readable document is a
 header line followed by `key = value` lines (blank lines are skipped); a
 duplicated key, a key the reader never asks for, and a key it asks for but
 does not find are all errors. Every malformed input raises ValueError.
@@ -19,6 +20,21 @@ def fmt(x) -> str:
 
 def fmt_vec(values) -> str:
     return ",".join(fmt(v) for v in values)
+
+
+def table_text(columns, task_names, rows) -> str:
+    """The one CSV writer. A column name holding `{}` is one column per task,
+    in task order, and each row maps every column name to its value."""
+    header = [name.format(t) for name in columns for t in (task_names if "{}" in name else [""])]
+    lines = [header] + [[_cell(row[name], "{}" in name) for name in columns] for row in rows]
+    return "\n".join(",".join(cells) for cells in lines) + "\n"
+
+
+def _cell(value, per_task: bool) -> str:
+    """A per-task vector by `fmt_vec`, a str or int by `str`, else `fmt`."""
+    if per_task:
+        return fmt_vec(value)
+    return str(value) if isinstance(value, (str, int)) else fmt(value)
 
 
 def parse_vec(text: str, count: int, what: str) -> np.ndarray:

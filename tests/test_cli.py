@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -148,6 +149,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "non-finite test metrics after 0 iterations" in err
         assert "non-finite loss" not in err
+
+    def test_config_too_large_for_memory_exits_one_without_traceback(self, tmp_path):
+        # The trunk's 298 GiB parameter vector cannot be allocated under an
+        # address-space limit set in the child process only.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("scenario = celeb-mini\ntrunk = 200000,200000\niterations = 1\n")
+        limit = 1_500_000 * 1024
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["config error: the config needs more memory than is available"]
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
     def test_seed_outside_64_bits_exits_one_without_traceback(self, config_file, tmp_path, seed):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,9 @@ from mtlbal.balancers import (
     make_balancer,
 )
 from mtlbal.harness import (
+    COMPARE_COLUMNS,
     SCENARIOS,
+    SWEEP_COLUMNS,
     SWEEPABLE,
     ConfigError,
     ExperimentConfig,
@@ -38,7 +41,7 @@ from mtlbal.harness import (
     run_single_task,
     sweep,
 )
-from mtlbal.metrics import coefficient_spikiness, trace_to_text
+from mtlbal.metrics import TRACE_COLUMNS, coefficient_spikiness, trace_to_text
 from mtlbal.rng import SplitMix64, derive
 from mtlbal.tasks import TaskSpec, generate_mtl
 
@@ -298,7 +301,7 @@ class TestRunExperiment:
     def test_trace_length_matches_cadence(self):
         res = run_experiment(fast_config(iterations=30, log_cadence=5))
         # rows at 0,5,...,25 plus the final iteration 29
-        assert [r.iteration for r in res.trace.rows] == [0, 5, 10, 15, 20, 25, 29]
+        assert [r["iteration"] for r in res.trace.rows] == [0, 5, 10, 15, 20, 25, 29]
 
     def test_bitwise_deterministic(self):
         a = run_experiment(fast_config())
@@ -312,7 +315,7 @@ class TestRunExperiment:
         rows = {}
         for method in ("baseline", "ema", "dwa", "uw", "gradnorm"):
             res = run_experiment(fast_config(balancer=method, iterations=1, log_cadence=1))
-            rows[method] = res.trace.rows[0].losses
+            rows[method] = res.trace.rows[0]["loss_{}"]
         base = rows.pop("baseline")
         for method, losses in rows.items():
             assert np.array_equal(base, losses), method
@@ -320,7 +323,7 @@ class TestRunExperiment:
     def test_all_balancers_run_and_weights_positive(self):
         for method in ("baseline", "ema", "rema", "dwema", "dwa", "uw", "gradnorm"):
             res = run_experiment(fast_config(balancer=method, iterations=12))
-            weights = np.array([r.weights for r in res.trace.rows])
+            weights = np.array([r["weight_{}"] for r in res.trace.rows])
             assert np.all(weights > 0), method
 
     def test_numerical_abort_carries_iteration_and_snapshot(self):
@@ -409,16 +412,16 @@ class TestStepBuffers:
         expected = fresh_buffer_losses(config, data, ref_params, ref_bal)
         assert len(rows) == len(expected) == 70
         for row, want in zip(rows, expected):
-            assert np.array_equal(row.losses, want)
+            assert np.array_equal(row["loss_{}"], want)
         assert np.array_equal(params.vector, ref_params.vector)
-        arrays = [a for r in rows for a in (r.losses, r.weights, r.rates)]
+        arrays = [r[name] for r in rows for name in ("loss_{}", "weight_{}", "rate_{}")]
         if balancer == "ema":
             arrays += bal.history
-            assert np.array_equal(bal.history[-1], rows[-1].losses)
+            assert np.array_equal(bal.history[-1], rows[-1]["loss_{}"])
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
         for a, b in zip(rows, rows[1:]):
-            assert not np.array_equal(a.losses, b.losses)
+            assert not np.array_equal(a["loss_{}"], b["loss_{}"])
 
     def test_back_to_back_runs_match_runs_alone(self):
         one_head = fast_config(balancer="baseline")
@@ -733,3 +736,17 @@ class TestSweep:
             sweep(fast_config(), "lr", [0.1], [1])
         sw = sweep(fast_config(balancer="uw", iterations=10), "balancer_lr", [0.1], [1])
         assert sw.to_table_text().splitlines()[1].startswith("balancer_lr,0.10000000000000001,")
+
+
+class TestTableColumns:
+    """Each CSV table's columns are declared once; README spells each
+    declaration out on its table's `columns:` line."""
+
+    @pytest.mark.parametrize("table", ["trace.csv", "compare.csv", "sweep.csv"])
+    def test_readme_lists_the_declared_columns(self, table):
+        declared = {"trace.csv": TRACE_COLUMNS, "compare.csv": COMPARE_COLUMNS, "sweep.csv": SWEEP_COLUMNS}[table]
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = [ln for ln in readme.splitlines() if ln.startswith(f"**{table}** columns: ")]
+        assert len(lines) == 1
+        documented = re.findall(r"`([^`]+)`", lines[0])
+        assert documented == [name.replace("{}", "<task>") for name in declared]

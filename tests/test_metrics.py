@@ -5,8 +5,8 @@ import pytest
 
 from mtlbal.balancers import EmaState, LossVector, ema_update
 from mtlbal.metrics import (
+    TRACE_COLUMNS,
     Trace,
-    TraceRow,
     ccc,
     coefficient_spikiness,
     composite_score,
@@ -138,14 +138,14 @@ def make_row(t, weights, rates=None, losses=None):
     rates = np.ones(k) if rates is None else np.asarray(rates, dtype=float)
     losses = np.ones(k) if losses is None else np.asarray(losses, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    return TraceRow(
-        iteration=t,
-        losses=losses,
-        weights=weights,
-        rates=rates,
-        rate_std=float(rates.std()),
-        weighted_total=float(weights @ losses),
-    )
+    return {
+        "iteration": t,
+        "loss_{}": losses,
+        "weight_{}": weights,
+        "rate_{}": rates,
+        "rate_std": float(rates.std()),
+        "weighted_total": float(weights @ losses),
+    }
 
 
 class TestSpikiness:
@@ -187,6 +187,18 @@ class TestTrace:
             trace.append(make_row(0, [1.0, 2.0]))
         with pytest.raises(ValueError, match="width"):
             trace.append(make_row(1, [1.0, 2.0, 3.0]))
+        row = make_row(1, [1.0, 2.0])
+        missing = {k: v for k, v in row.items() if k != "rate_std"}
+        extra = {**row, "grad_cos_min": 0.0}
+        swapped = {k: row[k] for k in ("iteration", "weight_{}", "loss_{}", *TRACE_COLUMNS[3:])}
+        for bad in (missing, extra, swapped):
+            with pytest.raises(ValueError, match="columns"):
+                trace.append(bad)
+        with pytest.raises(ValueError, match="width"):
+            trace.append({**row, "rate_std": np.array([0.0, 1.0])})
+        assert len(trace) == 1
+        trace.append(row)
+        assert len(trace) == 2
 
     def test_export_column_order(self):
         trace = Trace(task_names=("a", "b"))
@@ -203,6 +215,6 @@ class TestTrace:
     def test_export_full_precision(self):
         trace = Trace(task_names=("a",))
         w = np.array([1.0 / 3.0])
-        trace.append(TraceRow(0, np.array([1.0 / 7.0]), w, np.ones(1), 0.0, float(w @ np.array([1 / 7]))))
+        trace.append(make_row(0, w, losses=[1.0 / 7.0]))
         text = trace_to_text(trace)
         assert float(text.splitlines()[1].split(",")[2]) == 1.0 / 3.0
