@@ -1,13 +1,11 @@
 """Tour of the plumbing: dataset generation, metrics, state snapshots.
 
 Generates a small mixed-kind problem, scores a trivial predictor with the
-composite metric, and shows that a serialized balancer resumes
-bit-identically.
+composite metric, and prints the state snapshot of a balancer, the text a
+numerical abort writes to stderr.
 """
 
-import numpy as np
-
-from mtlbal.balancers import LossVector, make_balancer, restore, snapshot
+from mtlbal.balancers import LossVector, make_balancer, snapshot
 from mtlbal.metrics import ccc, composite_score, f1_binary, f1_macro
 from mtlbal.rng import SplitMix64
 from mtlbal.tasks import TaskSpec, generate_mtl
@@ -33,14 +31,8 @@ print(f"composite score: {composite_score(parts):.3f}")
 
 balancer = make_balancer("rema", beta=0.2)
 stream2 = SplitMix64(17)
-losses = 0.2 + stream2.uniform((12, 3))
+losses = 0.2 + stream2.uniform((6, 3))
 for t in range(6):
     balancer.step(LossVector(losses[t], t))
-frozen = snapshot(balancer)
-clone = restore(frozen)
-for t in range(6, 12):
-    a = balancer.step(LossVector(losses[t], t)).values
-    b = clone.step(LossVector(losses[t], t)).values
-    assert np.array_equal(a, b)
-print(f"\nsnapshot is {len(frozen.splitlines())} lines of key = value text;")
-print("restored balancer reproduced the next 6 weight vectors bit for bit.")
+print("\nbalancer state after 6 steps, as a numerical abort prints it:")
+print(snapshot(balancer), end="")

@@ -8,7 +8,6 @@ from .balancers import (
     WeightVector,
     combine,
     make_balancer,
-    restore,
     snapshot,
 )
 from .harness import (
@@ -35,7 +34,6 @@ __all__ = [
     "combine",
     "make_balancer",
     "snapshot",
-    "restore",
     "SCENARIOS",
     "ComparisonReport",
     "ConfigError",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import Fields, fmt, fmt_vec, parse_vec
+from .textio import fmt, fmt_vec
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +148,7 @@ class Balancer:
     vectors. The constructor takes any of these by name. The base latches
     the task count `k` on the first step, counts iterations, keeps that
     history, advances the loss moving average of the EMA family, and
-    `snapshot`/`restore` work from the declarations alone.
+    `snapshot` works from the declarations alone.
     """
 
     method = ""
@@ -412,11 +412,12 @@ _SNAPSHOT_HEADER = "balancer-state v1"
 
 
 def snapshot(balancer: Balancer) -> str:
-    """Serialize a balancer to human-readable key = value text.
+    """A balancer's state as human-readable key = value text.
 
     The document carries the method name, hyperparameters, iteration counter,
-    and every state array at full decimal precision, so restoring it yields
-    bit-identical subsequent weight sequences for identical loss streams.
+    and every state array and history entry at full decimal precision, so each
+    value it shows is the exact float64 the balancer holds. A numerical abort
+    prints it to stderr.
     """
     b = balancer
     lines = [_SNAPSHOT_HEADER, f"method = {b.method}", f"iteration = {b.iteration}"]
@@ -432,48 +433,3 @@ def snapshot(balancer: Balancer) -> str:
             lines.append(f"{name} = {fmt_vec(getattr(b, name))}")
     lines += [f"history{i} = {fmt_vec(h)}" for i, h in enumerate(b.history)]
     return "\n".join(lines) + "\n"
-
-
-def restore(text: str) -> Balancer:
-    """Rebuild a balancer from `snapshot` output.
-
-    Malformed or inconsistent text raises ValueError: every state array and
-    history entry must have `k` values, `k` must be positive, the iteration
-    nonnegative, and history entries numbered from 0. Non-finite state values
-    are kept, since a snapshot taken at a numerical abort can hold them.
-    """
-    fields = Fields(text.splitlines(), _SNAPSHOT_HEADER, "balancer snapshot")
-    try:
-        method = fields.get("method")
-        if method not in _CLASSES:
-            raise ValueError(f"unknown balancer method {method!r}")
-        cls = _CLASSES[method]
-        iteration = int(fields.get("iteration"))
-        bal = cls(**{
-            name: fields.get(name) if isinstance(default, str) else float(fields.get(name))
-            for name, default in cls.hyper.items()
-        })
-        k = fields.opt("k")
-        k = None if k is None else int(k)
-        initialized = fields.get("initialized") if issubclass(cls, Ema) else None
-        stored = {name: fields.opt(name) for name in cls.arrays}
-        history = []  # read from history0 on, so a gap leaves a key unread
-        while cls.keeps_history and len(history) < 2:
-            if (entry := fields.opt(f"history{len(history)}")) is None:
-                break
-            history.append(entry)
-        fields.finish()
-        if iteration < 0 or (k is not None and k < 1):
-            raise ValueError(f"need iteration >= 0 and k >= 1, got {iteration} and {k}")
-        if k is None and (history or any(v is not None for v in stored.values())):
-            raise ValueError("state arrays present but no k")
-        if initialized not in (None, "false" if stored.get("ema") is None else "true"):
-            raise ValueError(f"initialized = {initialized} disagrees with the ema line")
-        bal.k, bal.iteration = k, iteration
-        for name, value in stored.items():
-            if value is not None:
-                setattr(bal, name, parse_vec(value, k, name))
-        bal.history = [parse_vec(h, k, f"history{i}") for i, h in enumerate(history)]
-    except ValueError as exc:
-        raise ValueError(f"malformed balancer snapshot: {exc}") from exc
-    return bal

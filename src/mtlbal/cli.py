@@ -139,7 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument(
         "--no-spread", action="store_true", help="skip single-task reference runs"
     )
-    sweep_p.add_argument("--param", required=True, help=f"one of {', '.join(harness.SWEEPABLE)}")
+    sweep_p.add_argument(
+        "--param", required=True,
+        help=f"one of {', '.join(harness.SWEEPABLE)}, used by the config's balancer",
+    )
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--seeds", default="1", help="e.g. 1..5 (default 1)")
     for table_p in (cmp_p, sweep_p):

@@ -669,7 +669,8 @@ class SweepReport:
 
 def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1) -> SweepReport:
     """Grid the config over one balancer hyperparameter (a config key in
-    SWEEPABLE) and compare the cells, with `jobs` as in `compare`.
+    SWEEPABLE that the config's balancer uses) and compare the cells, with
+    `jobs` as in `compare`.
 
     Normalized-spread references are skipped (sweeps measure performance and
     coefficient spikiness per cell, not transfer).
@@ -677,6 +678,13 @@ def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1
     if parameter not in SWEEPABLE:
         hint = "; the balancer's learning rate is 'balancer_lr'" if parameter == "lr" else ""
         raise ConfigError(f"parameter must be one of {list(SWEEPABLE)}, got {parameter!r}{hint}")
+    config.validate()
+    used = _make_balancer(config).hyper
+    if _BALANCER_FIELDS[parameter] not in used:
+        keys = [key for key, name in _BALANCER_FIELDS.items() if name in used]
+        raise ConfigError(
+            f"balancer {config.balancer!r} ignores {parameter!r}; it uses {', '.join(keys) or 'none'}"
+        )
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")

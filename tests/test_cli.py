@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import mtlbal
-from mtlbal.balancers import BALANCER_NAMES, restore
+from mtlbal.balancers import BALANCER_NAMES
 from mtlbal.cli import main
 
 FAST_CONFIG = """\
@@ -314,6 +315,15 @@ class TestSweepCommand:
         assert rc == 1
         assert "'balancer_lr'" in capsys.readouterr().err
 
+    def test_parameter_the_balancer_ignores_exits_one(self, config_file, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(config_file), "--param", "balancer_lr",
+                   "--values", "0.1,0.01", "--out", str(tmp_path / "s")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: balancer 'ema' ignores")
+        assert not (tmp_path / "s").exists()
+
 
 class TestSingleTaskCommand:
     def test_runs_and_writes_outputs(self, config_file, tmp_path, capsys):
@@ -373,7 +383,8 @@ SCALES = st.one_of(
 
 class TestOutcomeContract:
     """Every config ends in exit 0, 1 or 2 with no traceback, writes the same
-    bytes twice, and on a numerical abort prints a snapshot `restore` reads."""
+    bytes twice, and on a numerical abort prints a balancer snapshot: `key =
+    value` lines naming the method and a nonnegative iteration."""
 
     @staticmethod
     def invoke(argv):
@@ -435,5 +446,11 @@ class TestOutcomeContract:
         assert outcomes[1] == outcomes[0]
         assert files[1] == files[0]
         if code == 2:
+            # print() ends the snapshot's last line with one more newline.
             snapshot = err[err.index("balancer-state v1"):]
-            assert restore(snapshot).iteration >= 0
+            assert snapshot.endswith("\n\n")
+            lines = snapshot.splitlines()[1:-1]
+            assert all(re.fullmatch(r"\w+ = \S+", line) for line in lines), lines
+            fields = dict(line.split(" = ") for line in lines)
+            assert fields["method"] == (balancer if command == "run" else "baseline")
+            assert int(fields["iteration"]) >= 0

@@ -728,6 +728,17 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="parameter"):
             sweep(fast_config(), "warp", [1.0], [1])
+        with pytest.raises(ConfigError, match="balancer must be one of"):
+            sweep(fast_config(balancer="warp"), "beta", [1.0], [1])
+
+    # Every cell of such a sweep would train the same run.
+    @pytest.mark.parametrize(
+        "balancer, parameter, uses",
+        [("ema", "balancer_lr", "beta"), ("dwa", "beta", "temperature"), ("baseline", "beta", "none")],
+    )
+    def test_parameter_the_balancer_ignores_rejected(self, balancer, parameter, uses):
+        with pytest.raises(ConfigError, match=f"'{balancer}' ignores '{parameter}'; it uses {uses}$"):
+            sweep(fast_config(balancer=balancer), parameter, [0.5, 0.1], [1])
 
     def test_parameters_are_config_keys(self):
         assert SWEEPABLE == ("beta", "temperature", "alpha", "balancer_lr")
