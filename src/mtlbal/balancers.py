@@ -28,6 +28,7 @@ updated sequentially. Snapshots are plain text and freely shareable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +59,15 @@ class LossVector:
     iteration: int = 0
 
     def __post_init__(self):
-        self.values = _as_float_vector(self.values, "losses")
-        nan = np.isnan(self.values)
-        if nan.any():
-            raise ValueError(
-                f"loss for task {int(np.argmax(nan))} is NaN at iteration {self.iteration}"
-            )
-        if not np.isfinite(self.values).all():
-            bad = int(np.argmax(~np.isfinite(self.values)))
-            raise ValueError(f"loss for task {bad} is not finite at iteration {self.iteration}")
-        if (self.values < 0).any():
-            bad = int(np.argmax(self.values < 0))
-            raise ValueError(f"loss for task {bad} is negative at iteration {self.iteration}")
+        v = self.values = _as_float_vector(self.values, "losses")
+        # One test per step (min is NaN if any value is); the detailed
+        # message is built only on failure.
+        if not (v.min() >= 0.0 and v.max() < math.inf):
+            faults = ((np.isnan(v), "NaN"), (~np.isfinite(v), "not finite"), (v < 0, "negative"))
+            for bad, what in faults:
+                if bad.any():
+                    task, t = int(np.argmax(bad)), self.iteration
+                    raise ValueError(f"loss for task {task} is {what} at iteration {t}")
         if self.iteration < 0:
             raise ValueError(f"iteration must be nonnegative, got {self.iteration}")
 
@@ -85,12 +83,12 @@ class WeightVector:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_float_vector(self.values, "weights")
-        if not np.isfinite(self.values).all() or (self.values <= 0).any():
-            task = int(np.argmax(~(np.isfinite(self.values) & (self.values > 0))))
+        v = self.values = _as_float_vector(self.values, "weights")
+        if not (v.min() > 0.0 and v.max() < math.inf):
+            task = int(np.argmax(~(np.isfinite(v) & (v > 0))))
             raise ValueError(
                 f"weights must be finite and strictly positive; task {task} has "
-                f"{float(self.values[task])!r}"
+                f"{float(v[task])!r}"
             )
 
     @property

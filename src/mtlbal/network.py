@@ -9,10 +9,12 @@ group (celeb-mini's eight heads are one group; va-mini has {CE} and
 
 Forward/backward are written out explicitly in numpy, with gradients that
 are exact derivatives of the weighted total sum_k weight(k) * loss(k), the
-weights held constant. Each step runs the heads backward once at unit task
-weight; the per-task pieces at the LAST trunk layer (the designated
-parameter subset for gradient-norm balancing) feed both the grad-norm probe
-and the weighted trunk backward, and the weights multiply afterwards.
+weights held constant. One helper runs any dense stack backward, the trunk
+or a head group. Each step runs the heads backward once at unit task
+weight; `backward` sums the tasks' weighted gradients at the shared
+activation and runs the trunk once on that sum. Only the grad-norm probe
+forms each task's own piece at the LAST trunk layer (the designated
+parameter subset for gradient-norm balancing).
 
 A ForwardCache records one step's forward pass, made new on every step;
 the losses (one loss call per head group), the grad-norm probe and the
@@ -65,8 +67,8 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _backprop(up: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     """Gradient with respect to z given `up`, the gradient with respect to
-    a = kind(z), as a new array shaped like `up` (which has a leading task
-    axis at the last trunk layer)."""
+    a = kind(z), as a new array shaped like `up` (which may have a leading
+    task axis that z and a lack)."""
     if kind == "linear":
         return up
     if kind == "relu":
@@ -206,17 +208,17 @@ class ForwardCache:
     """One forward pass over a batch, plus the losses and the unit-weight
     head pass derived from it on first use.
 
-    `trunk_z`/`trunk_a` hold each trunk layer's pre-activations and
-    activations, `group_z`/`group_a` each head group's stacked ones of shape
-    (n, batch, fan_out), and `outputs[k]` is task k's prediction. A training
-    step makes a new cache; `task_losses`, `shared_layer_grad_norms` and
-    `backward` given that cache share its losses and head pass.
+    `trunk_z` holds each trunk layer's pre-activation and `trunk_a` the
+    inputs, then each trunk layer's activation. `group_z`/`group_a` hold each
+    head group's stacked ones of shape (n, batch, fan_out), the activations
+    led by the shared one, and `outputs[k]` is task k's prediction. A
+    training step makes a new cache; `task_losses`, `shared_layer_grad_norms`
+    and `backward` given that cache share its losses and head pass.
     """
 
     def __init__(self, inputs: np.ndarray):
-        self.inputs = inputs
-        self.trunk_z, self.trunk_a, self.group_z, self.group_a = [], [], [], []
-        self.losses = self.pred_grads = self.unit = self.deltas = None
+        self.trunk_z, self.trunk_a, self.group_z, self.group_a = [], [inputs], [], []
+        self.losses = self.pred_grads = self.unit = self.at_shared = None
 
     @property
     def shared(self) -> np.ndarray:
@@ -237,7 +239,7 @@ def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
         cache.trunk_z.append(z)
         cache.trunk_a.append(a)
     for tasks, weights in zip(params.group_tasks, params.groups):
-        zs, as_ = [], []
+        zs, as_ = [], [a]
         h = a
         for (w, b), (_, _, act) in zip(weights, params.head_layers[tasks[0]]):
             z = np.matmul(h, w)
@@ -267,48 +269,46 @@ def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.nd
     return cache.losses
 
 
+def _stack_backward(up, weights, layers, zs, as_) -> tuple:
+    """Backpropagate `up`, the gradient at a dense stack's top activation,
+    given its cached pre-activations `zs` and activations `as_` (led by the
+    stack's input). Arrays are 2-D, or stacked on a leading axis for a head
+    group. Returns each layer's (weight, bias) gradient, bottom up, and the
+    bottom layer's pre-activation gradient."""
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        if grads:
+            up = np.matmul(delta, weights[i + 1][0].swapaxes(-1, -2))
+        delta = _backprop(up, zs[i], as_[i + 1], layers[i][2])
+        grads.append((np.matmul(as_[i].swapaxes(-1, -2), delta), np.add.reduce(delta, axis=-2)))
+    return grads[::-1], delta
+
+
 def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.ndarray:
     """Run the heads backward at unit task weight once per forward, keeping
     each head group's layer gradients in `cache.unit`; returns each task's
-    gradient at the last trunk layer's pre-activation."""
-    if cache.deltas is None:
+    gradient at the shared activation, of shape (K, batch, width)."""
+    if cache.at_shared is None:
         task_losses(params, cache, batch)
-        at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
+        cache.at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
         cache.unit = []
         for g, (tasks, weights) in enumerate(zip(params.group_tasks, params.groups)):
-            up = cache.pred_grads[g]
-            zs, as_ = cache.group_z[g], cache.group_a[g]
-            unit = []
-            for i in range(len(weights) - 1, -1, -1):
-                act = params.head_layers[tasks[0]][i][2]
-                delta = _backprop(up, zs[i], as_[i], act)
-                below = as_[i - 1] if i > 0 else cache.shared
-                grad_w = np.matmul(below.swapaxes(-1, -2), delta)
-                unit.append((grad_w, np.add.reduce(delta, axis=-2)))
-                up = np.matmul(delta, weights[i][0].swapaxes(-1, -2))
-            cache.unit.append(unit[::-1])
-            at_shared[list(tasks)] = up
-        last = len(params.trunk) - 1
-        z, act = cache.trunk_z[last], params.trunk_layers[last][2]
-        cache.deltas = _backprop(at_shared, z, cache.shared, act)
-    return cache.deltas
+            layers, up = params.head_layers[tasks[0]], cache.pred_grads[g]
+            unit, delta = _stack_backward(up, weights, layers, cache.group_z[g], cache.group_a[g])
+            cache.unit.append(unit)
+            cache.at_shared[list(tasks)] = np.matmul(delta, weights[0][0].swapaxes(-1, -2))
+    return cache.at_shared
 
 
-def _trunk_input(cache: ForwardCache, layer: int) -> np.ndarray:
-    return cache.trunk_a[layer - 1] if layer > 0 else cache.inputs
-
-
-def _last_layer_pieces(params: ModelParams, batch: Batch, weights, cache) -> tuple:
-    """Each task's weighted gradient piece at the last trunk layer's weight;
-    the weights, an array of one per task, scale the unit pass before the matmul."""
+def _weighted_at_shared(params: ModelParams, batch: Batch, weights, cache) -> tuple:
+    """The weights as an array, the step's cache (made if None), and each
+    task's weighted gradient at the shared activation."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (params.n_tasks,):
         raise ValueError(f"need {params.n_tasks} weights, got shape {w.shape}")
     if cache is None:
         cache = forward_cache(params, batch.inputs)
-    scaled = w[:, None, None] * _unit_pass(params, cache, batch)
-    last_w = np.matmul(_trunk_input(cache, len(params.trunk) - 1).T, scaled)
-    return w, cache, scaled, last_w
+    return w, cache, w[:, None, None] * _unit_pass(params, cache, batch)
 
 
 def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | None = None):
@@ -316,51 +316,34 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
 
     Losses are returned UNWEIGHTED (balancers consume raw magnitudes); the
     gradient differentiates sum_k weight(k) * loss(k) with the weights as
-    constants, as a new vector in the layout of `params.vector`. Pass the
-    step's `cache` to reuse its forward and head pass.
+    constants, as a new vector in the layout of `params.vector`. The tasks'
+    weighted gradients at the shared activation are summed in task order,
+    and the trunk is run backward once on that sum. Pass the step's `cache`
+    to reuse its forward and head pass.
     Raises ValueError naming an array if that array's gradient is NaN.
     """
-    w, cache, scaled, last_w = _last_layer_pieces(params, batch, weights, cache)
-    # Per-task products are summed over tasks in task order, as running each
-    # head alone would; at weight 1.0 the result is the same bit for bit.
-    last_b = np.add.reduce(scaled, axis=1)
-    # (weight, bias) gradients per trunk layer, top down; heads follow in layout order.
-    trunk = [(np.add.reduce(last_w, axis=0), np.add.reduce(last_b, axis=0))]
-    delta = np.add.reduce(scaled, axis=0)
-    for i in range(len(params.trunk) - 2, -1, -1):
-        z, act = cache.trunk_z[i], params.trunk_layers[i][2]
-        up = np.matmul(delta, params.trunk[i + 1][0].T)
-        delta = _backprop(up, z, cache.trunk_a[i], act)
-        grad_w = np.matmul(_trunk_input(cache, i).T, delta)
-        trunk.append((grad_w, np.add.reduce(delta, axis=0)))
+    w, cache, scaled = _weighted_at_shared(params, batch, weights, cache)
+    up = np.add.reduce(scaled, axis=0)
+    trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, cache.trunk_z, cache.trunk_a)
     heads = []
     for tasks, unit in zip(params.group_tasks, cache.unit):
         w_g = w[list(tasks)]
         heads += [(w_g[:, None, None] * unit_w, w_g[:, None] * unit_b) for unit_w, unit_b in unit]
-    grad = np.concatenate([a.ravel() for pair in trunk[::-1] + heads for a in pair])
+    grad = np.concatenate([a.ravel() for pair in trunk + heads for a in pair])
     # Sum-based probe: NaN anywhere poisons the sum, but so do +inf and -inf
-    # in different arrays; abort only if one array's own sum is NaN.
+    # in different arrays; abort only if one array's own sum is NaN. Arrays
+    # are tested per task, head layers top down, then trunk layers top down.
     s = float(np.add.reduce(grad))
     if s != s:
-        for name, pair in _probe_order(params.like(grad), last_w, last_b):
+        view = params.like(grad)
+        named = [(f"head[{k}][{i}]", pair) for k in range(params.n_tasks)
+                 for i, pair in reversed(list(enumerate(view.head(k))))]
+        named += [(f"trunk[{i}]", pair) for i, pair in reversed(list(enumerate(view.trunk)))]
+        for name, pair in named:
             for part, arr in zip(("weight", "bias"), pair):
                 if np.isnan(arr.sum()):
-                    raise ValueError(f"NaN gradient in {name.format(part)}")
+                    raise ValueError(f"NaN gradient in {name}.{part}")
     return list(cache.losses), grad
-
-
-def _probe_order(grads: ModelParams, last_w: np.ndarray, last_b: np.ndarray):
-    """(name template, (weight, bias)) for the NaN probe: per task, its head
-    layers top down, then its own piece of the last trunk layer; then the
-    lower trunk layers."""
-    last = len(grads.trunk) - 1
-    for k in range(grads.n_tasks):
-        head = grads.head(k)
-        for i in range(len(head) - 1, -1, -1):
-            yield f"head[{k}][{i}].{{}}", head[i]
-        yield f"trunk[{last}].{{}} (task {k})", (last_w[k], last_b[k])
-    for i in range(last - 1, -1, -1):
-        yield f"trunk[{i}].{{}}", grads.trunk[i]
 
 
 def shared_layer_grad_norms(
@@ -369,13 +352,17 @@ def shared_layer_grad_norms(
     """L2 norm of each task's weighted gradient at the last trunk layer.
 
     Norms cover the layer's weight matrix only (the designated parameter
-    subset); each equals ||d(weight(k) * loss(k)) / d W_last||_2. The
-    weights scale the step's shared head pass before the matmul, as in
-    `backward`, so a norm is that of task k's piece of `backward` bit for bit.
+    subset); each equals ||d(weight(k) * loss(k)) / d W_last||_2. Only this
+    probe forms the K per-task pieces of that gradient, each task's weighted
+    gradient at the shared activation run back through the last trunk layer;
+    a norm equals that of a `backward` with only task k's weight nonzero, bit
+    for bit.
     """
-    last_w = _last_layer_pieces(params, batch, weights, cache)[3]
+    _, cache, scaled = _weighted_at_shared(params, batch, weights, cache)
+    delta = _backprop(scaled, cache.trunk_z[-1], cache.shared, params.trunk_layers[-1][2])
+    pieces = np.matmul(cache.trunk_a[-2].T, delta)
     # sqrt(x . x) over the flattened piece is how np.linalg.norm computes it.
-    return np.sqrt([p.dot(p) for p in last_w.reshape(params.n_tasks, -1)])
+    return np.sqrt([p.dot(p) for p in pieces.reshape(params.n_tasks, -1)])
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,31 @@ class TestLossVector:
         with pytest.raises(ValueError):
             WeightVector(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: lv([np.inf, np.nan], t=3), "loss for task 1 is NaN at iteration 3"),
+            (lambda: lv([-1.0, np.inf]), "loss for task 1 is not finite at iteration 0"),
+            (lambda: lv([2.0, -1.0], t=7), "loss for task 1 is negative at iteration 7"),
+            (lambda: lv([-0.0, 1.0]), None),
+            (lambda: WeightVector(np.array([0.0])),
+             "weights must be finite and strictly positive; task 0 has 0.0"),
+            (lambda: WeightVector(np.array([np.nan])),
+             "weights must be finite and strictly positive; task 0 has nan"),
+            (lambda: WeightVector(np.array([-np.inf])),
+             "weights must be finite and strictly positive; task 0 has -inf"),
+        ],
+    )
+    def test_exact_messages(self, make, message):
+        # NaN is named before any other fault, then a non-finite value, then
+        # a negative one, each at the first task that has it.
+        if message is None:
+            make()
+            return
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
 
 class TestEmaUpdate:
     def test_beta_one_weights_are_reciprocal_losses(self):

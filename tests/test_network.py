@@ -13,6 +13,7 @@ from mtlbal.network import (
     sgd_step,
     shared_layer_grad_norms,
 )
+from mtlbal.rng import SplitMix64
 from mtlbal.tasks import Batch, TaskSpec
 
 from helpers import has_relu_kink, max_fd_error, random_instance
@@ -30,6 +31,27 @@ def tiny_params(weights, activations):
     for (w, _), value in zip(params.trunk + params.head(0), layers):
         w[...] = value
     return params
+
+
+def mixed_trunk_instances(last_act, count=3):
+    """`count` (seed, params, batch, weights) instances whose relu units sit
+    clear of the kink: two trunk layers, the last one `last_act`, feed a
+    stacked group of two equal sigmoid heads and one single linear head."""
+    specs = (BCE, BCE, TaskSpec("regression-mse", 2, 1.5, "r2"))
+    seed = 0
+    while count:
+        seed += 1
+        stream = SplitMix64(seed)
+        params = ModelParams(
+            trunk=[(3, 4, "relu"), (4, 3, last_act)],
+            heads=[[(3, 2, "relu"), (2, 1, "sigmoid")]] * 2 + [[(3, 2, "linear")]],
+        )
+        params.vector[...] = stream.normal(params.vector.shape) * 0.8
+        targets = [(stream.uniform((4, 1)) > 0.5).astype(float) for _ in range(2)]
+        batch = Batch(stream.normal((4, 3)), targets + [stream.normal((4, 2))], specs)
+        if not has_relu_kink(params, batch):
+            count -= 1
+            yield seed, params, batch, 0.2 + stream.uniform(3) * 2
 
 
 class TestForward:
@@ -150,6 +172,14 @@ class TestBackward:
             assert max_fd_error(params, batch, weights, grads) < 1e-5, f"seed {seed}"
             checked += 1
 
+    @pytest.mark.parametrize("last_act", ["linear", "sigmoid", "softmax", "relu"])
+    def test_each_trunk_activation_matches_finite_differences(self, last_act):
+        for seed, params, batch, weights in mixed_trunk_instances(last_act):
+            assert params.group_tasks == ((0, 1), (2,))
+            _, grads = backward(params, batch, weights)
+            worst = max_fd_error(params, batch, weights, grads)
+            assert worst < 1e-5, f"{last_act} seed {seed}: max relative error {worst}"
+
     def test_trunk_gradients_decompose_over_tasks(self):
         params, batch, weights = random_instance(9, kinds=("regression-mse", "binary-bce", "multiclass-ce"))
         _, grads = backward(params, batch, weights)
@@ -169,16 +199,26 @@ class TestBackward:
             backward(params, batch, weights)
 
     def test_opposite_infinities_in_different_arrays_do_not_abort(self):
-        # Two heads overflow to +inf and -inf: the whole-vector sum is NaN,
-        # but no single array has a NaN sum, so backward does not abort.
+        # One task's gradient overflows: its arrays hold +inf and -inf, so
+        # the whole-vector sum is NaN, but no single array has a NaN sum, so
+        # backward does not abort.
+        params = ModelParams(trunk=[(1, 1, "linear")], heads=[[(1, 1, "linear")]])
+        params.vector[...] = [1.0, 0.0, 1.0, 0.0]
+        batch = Batch(np.full((1, 1), -1.0), [np.full((1, 1), 1e308)], (MSE,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, grads = backward(params, batch, np.ones(1))
+        assert grads.tolist() == [np.inf, -np.inf, np.inf, -np.inf]
+
+    def test_opposite_infinities_at_the_shared_activation_abort(self):
+        # Two tasks' gradients at the shared activation are +inf and -inf:
+        # their sum is NaN, so the trunk's own gradient is NaN.
         params = ModelParams(trunk=[(1, 1, "linear")], heads=[[(1, 1, "linear")]] * 2)
         params.vector[...] = 1.0
         batch = Batch(np.ones((1, 1)), [np.full((1, 1), -1e308), np.full((1, 1), 1e308)], (MSE, MSE))
         with np.errstate(over="ignore", invalid="ignore"):
-            _, grads = backward(params, batch, np.ones(2))
-        view = params.like(grads)
-        assert view.head(0)[0][0][0, 0] == np.inf and view.head(1)[0][0][0, 0] == -np.inf
-        assert np.isnan(view.trunk[0][0][0, 0])
+            with pytest.raises(ValueError) as err:
+                backward(params, batch, np.ones(2))
+        assert str(err.value) == "NaN gradient in trunk[0].weight"
 
     def test_weight_count_checked(self):
         params, batch, _ = random_instance(6)
@@ -218,6 +258,17 @@ class TestSharedLayerGradNorms:
                 solo[k] = weights[k]
                 _, grads = backward(params, batch, solo)
                 assert norms[k] == np.linalg.norm(params.like(grads).trunk[-1][0]), (seed, k)
+
+    @pytest.mark.parametrize("last_act", ["linear", "sigmoid", "softmax", "relu"])
+    def test_oracle_holds_for_each_trunk_activation(self, last_act):
+        for seed, params, batch, weights in mixed_trunk_instances(last_act):
+            norms = shared_layer_grad_norms(params, batch, weights)
+            for k in range(3):
+                solo = np.zeros(3)
+                solo[k] = weights[k]
+                _, grads = backward(params, batch, solo)
+                last_w = params.like(grads).trunk[-1][0]
+                assert norms[k] == np.linalg.norm(last_w), (last_act, seed, k)
 
     def test_linear_scaling_in_weights_exact(self):
         params, batch, weights = random_instance(11, kinds=("binary-bce", "regression-mse"))
