@@ -207,12 +207,17 @@ class Balancer:
 
 
 class Baseline(Balancer):
-    """Equal weights (all ones)."""
+    """Equal weights (all ones): one read-only vector, made on the first
+    step and returned on every step after it."""
 
     method = "baseline"
+    ones = None
 
     def update(self, losses, past, grad_norms):
-        return WeightVector(np.ones(self.k, dtype=np.float64))
+        if self.ones is None:
+            self.ones = WeightVector(np.ones(self.k, dtype=np.float64))
+            self.ones.values.flags.writeable = False
+        return self.ones
 
 
 class Ema(Balancer):

@@ -251,7 +251,9 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
                     )
                 weights = balancer.step(loss_vec, grad_norms)
                 total = combine(weights, loss_vec)
-                if not math.isfinite(total):
+                # A trunk-less model's tasks are separate runs: each total is
+                # one finite loss, but their sum may still overflow.
+                if params.trunk and not math.isfinite(total):
                     raise ValueError("weighted total not finite")
                 _, grads = network.backward(params, batch, weights.values, cache)
                 if config.optimizer == "adam":
@@ -325,40 +327,64 @@ def run_experiment(config: ExperimentConfig, data: Dataset | None = None) -> Run
     (ConfigError otherwise); `compare` passes it to share one dataset across
     a seed's runs.
     """
-    return _run(config, data)
+    config.validate()
+    data = _dataset_for(config, data)
+    params = network.init_params(
+        config.seed, config.input_dim, config.trunk, config.head_hidden, config.resolved_tasks()
+    )
+    balancer = _make_balancer(config)
+    trace = _train(config, data, params, balancer)
+    return _evaluated(config, params, data, balancer, trace)
 
 
 def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | None = None) -> RunResult:
-    """Train a clone of the architecture with only one head attached.
+    """Train the one-task model: a copy of the trunk followed by head k.
 
     The dataset and the full-model init come from the same seed streams as
     the multi-task run, so trunk and head k start from identical values; the
     balancer is equal-weights (a single task needs no balancing). Results
     serve as per-task reference losses for normalized-spread evaluation.
-    `data` is as in `run_experiment`.
+    `data` is as in `run_experiment`. This is the one-task case of
+    `_single_task_runs`.
     """
-    return _run(config, data, task_index)
-
-
-def _run(config: ExperimentConfig, data: Dataset | None, task_index: int | None = None) -> RunResult:
-    """The one run body: all tasks, or only task `task_index` under baseline."""
     config.validate()
-    specs = config.resolved_tasks()
-    if task_index is not None and not 0 <= task_index < len(specs):
-        raise ConfigError(f"task index {task_index} out of range for {len(specs)} tasks")
-    data = _dataset_for(config, data)
-    params = network.init_params(
-        config.seed, config.input_dim, config.trunk, config.head_hidden, specs
+    n_tasks = len(config.resolved_tasks())
+    if not 0 <= task_index < n_tasks:
+        raise ConfigError(f"task index {task_index} out of range for {n_tasks} tasks")
+    return _single_task_runs(config, _dataset_for(config, data), [task_index])[0]
+
+
+def _only(data: Dataset, tasks) -> Dataset:
+    """`data` with only the listed tasks' targets and specs."""
+    return dataclasses.replace(
+        data, targets=[data.targets[k] for k in tasks], specs=tuple(data.specs[k] for k in tasks)
     )
-    if task_index is None:
-        balancer = _make_balancer(config)
-    else:
-        data = dataclasses.replace(
-            data, targets=[data.targets[task_index]], specs=(specs[task_index],)
-        )
-        params = params.select([task_index])
-        balancer = make_balancer("baseline")
+
+
+def _single_task_runs(config: ExperimentConfig, data: Dataset, tasks) -> list:
+    """The single-task runs of the listed tasks, trained as one run.
+
+    Their one-task models are the heads of one trunk-less model
+    (`ModelParams.unshared`) trained under baseline weights, so each runs
+    exactly as it would alone, and the run aborts exactly when one of them
+    would. Each is then evaluated alone, so the test split's activations
+    are held for one model at a time. Every result carries the joint trace,
+    which for one task is that run's own.
+    """
+    full = network.init_params(
+        config.seed, config.input_dim, config.trunk, config.head_hidden, config.resolved_tasks()
+    )
+    params, data = full.unshared(tasks), _only(data, tasks)
+    balancer = make_balancer("baseline")
     trace = _train(config, data, params, balancer)
+    return [
+        _evaluated(config, params.select([i]), _only(data, [i]), balancer, trace)
+        for i in range(len(tasks))
+    ]
+
+
+def _evaluated(config: ExperimentConfig, params, data: Dataset, balancer, trace) -> RunResult:
+    """The trained model's result; NumericalAbort if a test metric is not finite."""
     task_results, composite = evaluate_model(params, data)
     if not np.isfinite([composite] + [t.test_loss for t in task_results]).all():
         message = f"non-finite test metrics after {config.iterations} iterations"
@@ -491,18 +517,17 @@ def _seed_records(seed: int, configs, specs, normalized_spread: bool, dominant) 
     """One seed's comparison cells, in config order.
 
     The seed's dataset is generated once and shared by its single-task
-    references and every method. Reference runs follow the failed-run
-    policy: a seed whose references abort has no spread statistics.
+    references and every method; the references train as one run. They
+    follow the failed-run policy: a seed where any reference aborts has no
+    spread statistics.
     """
     seed_cfg = dataclasses.replace(configs[0], seed=seed)
     data = _dataset_for(seed_cfg, None)
     reference = None
     if normalized_spread:
         try:
-            refs = [
-                run_single_task(seed_cfg, k, data).task_results[0].test_loss
-                for k in range(len(specs))
-            ]
+            runs = _single_task_runs(seed_cfg, data, range(len(specs)))
+            refs = [run.task_results[0].test_loss for run in runs]
             reference = np.maximum(np.array(refs), EPS_FLOOR)
         except NumericalAbort:
             pass

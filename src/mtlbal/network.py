@@ -5,7 +5,9 @@ into it, and gradients and Adam moments are vectors of the same layout.
 Heads with identical layer shapes and activations form a group whose
 layers are stacked on a leading axis, so one batched matmul runs a whole
 group (celeb-mini's eight heads are one group; va-mini has {CE} and
-{MSE, MSE}).
+{MSE, MSE}). A model may have no trunk: `ModelParams.unshared` puts K
+one-task models side by side as the heads of one, so K single-task runs
+train as one run whose equal heads stack.
 
 Forward/backward are written out explicitly in numpy, with gradients that
 are exact derivatives of the weighted total sum_k weight(k) * loss(k), the
@@ -94,16 +96,18 @@ class ModelParams:
     Views: `trunk[i]` is a (weight, bias) pair of shapes (fan_in, fan_out)
     and (fan_out,); `groups[g][i]` is a stacked pair of shapes
     (n, fan_in, fan_out) and (n, fan_out) for the group's n tasks, listed
-    in `group_tasks[g]`; `head(k)` gives task k's slice of those.
+    in `group_tasks[g]`; `head(k)` gives task k's slice of those. The
+    trunk may be empty; then every head takes the inputs.
     """
 
     def __init__(self, trunk, heads, vector: np.ndarray | None = None):
         self.trunk_layers = tuple((int(i), int(o), str(a)) for i, o, a in trunk)
         self.head_layers = tuple(tuple((int(i), int(o), str(a)) for i, o, a in h) for h in heads)
-        if not self.trunk_layers:
-            raise ValueError("trunk must have at least one layer")
         if not self.head_layers or not all(self.head_layers):
             raise ValueError("need at least one head, each with at least one layer")
+        widths = sorted({h[0][0] for h in self.head_layers})
+        if len(widths) > 1:  # with a trunk, the chains below catch this too
+            raise ValueError(f"layer dimension mismatch: heads take inputs of widths {widths}")
         chains = [self.trunk_layers] + [self.trunk_layers[-1:] + h for h in self.head_layers]
         for chain in chains:
             for fan_in, fan_out, act in chain:
@@ -152,7 +156,7 @@ class ModelParams:
 
     @property
     def input_dim(self) -> int:
-        return self.trunk_layers[0][0]
+        return (self.trunk_layers or self.head_layers[0])[0][0]
 
     def n_parameters(self) -> int:
         return self.vector.size
@@ -174,6 +178,17 @@ class ModelParams:
             w[...], b[...] = src_w, src_b
         for new_k, k in enumerate(tasks):
             for (w, b), (src_w, src_b) in zip(out.head(new_k), self.head(k)):
+                w[...], b[...] = src_w, src_b
+        return out
+
+    def unshared(self, tasks) -> "ModelParams":
+        """A trunk-less copy whose head i is the trunk followed by task
+        `tasks[i]`'s head: the listed tasks' one-task models side by side,
+        which share no parameter. Equal heads still stack into one group."""
+        tasks = list(tasks)
+        out = ModelParams((), [self.trunk_layers + self.head_layers[k] for k in tasks])
+        for new_k, k in enumerate(tasks):
+            for (w, b), (src_w, src_b) in zip(out.head(new_k), self.trunk + self.head(k)):
                 w[...], b[...] = src_w, src_b
         return out
 
@@ -284,31 +299,30 @@ def _stack_backward(up, weights, layers, zs, as_) -> tuple:
     return grads[::-1], delta
 
 
-def _unit_pass(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.ndarray:
-    """Run the heads backward at unit task weight once per forward, keeping
-    each head group's layer gradients in `cache.unit`; returns each task's
-    gradient at the shared activation, of shape (K, batch, width)."""
-    if cache.at_shared is None:
-        task_losses(params, cache, batch)
-        cache.at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
-        cache.unit = []
-        for g, (tasks, weights) in enumerate(zip(params.group_tasks, params.groups)):
-            layers, up = params.head_layers[tasks[0]], cache.pred_grads[g]
-            unit, delta = _stack_backward(up, weights, layers, cache.group_z[g], cache.group_a[g])
-            cache.unit.append(unit)
-            cache.at_shared[list(tasks)] = np.matmul(delta, weights[0][0].swapaxes(-1, -2))
-    return cache.at_shared
-
-
-def _weighted_at_shared(params: ModelParams, batch: Batch, weights, cache) -> tuple:
-    """The weights as an array, the step's cache (made if None), and each
-    task's weighted gradient at the shared activation."""
+def _unit_pass(params: ModelParams, batch: Batch, weights, cache) -> tuple:
+    """The weights as an array and the step's cache (made if None), after
+    the heads have run backward at unit task weight, once per forward: each
+    head group's layer gradients are in `cache.unit` and, below a trunk,
+    each task's gradient at the shared activation is in `cache.at_shared`,
+    of shape (K, batch, width). A trunk-less model forms no gradient at its
+    inputs."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (params.n_tasks,):
         raise ValueError(f"need {params.n_tasks} weights, got shape {w.shape}")
     if cache is None:
         cache = forward_cache(params, batch.inputs)
-    return w, cache, w[:, None, None] * _unit_pass(params, cache, batch)
+    if cache.unit is None:
+        task_losses(params, cache, batch)
+        if params.trunk:
+            cache.at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
+        cache.unit = []
+        for g, (tasks, pairs) in enumerate(zip(params.group_tasks, params.groups)):
+            layers, up = params.head_layers[tasks[0]], cache.pred_grads[g]
+            unit, delta = _stack_backward(up, pairs, layers, cache.group_z[g], cache.group_a[g])
+            cache.unit.append(unit)
+            if params.trunk:
+                cache.at_shared[list(tasks)] = np.matmul(delta, pairs[0][0].swapaxes(-1, -2))
+    return w, cache
 
 
 def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | None = None):
@@ -318,13 +332,15 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
     gradient differentiates sum_k weight(k) * loss(k) with the weights as
     constants, as a new vector in the layout of `params.vector`. The tasks'
     weighted gradients at the shared activation are summed in task order,
-    and the trunk is run backward once on that sum. Pass the step's `cache`
-    to reuse its forward and head pass.
+    and the trunk, if any, is run backward once on that sum. Pass the step's
+    `cache` to reuse its forward and head pass.
     Raises ValueError naming an array if that array's gradient is NaN.
     """
-    w, cache, scaled = _weighted_at_shared(params, batch, weights, cache)
-    up = np.add.reduce(scaled, axis=0)
-    trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, cache.trunk_z, cache.trunk_a)
+    w, cache = _unit_pass(params, batch, weights, cache)
+    trunk = []
+    if params.trunk:
+        up = np.add.reduce(w[:, None, None] * cache.at_shared, axis=0)
+        trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, cache.trunk_z, cache.trunk_a)
     heads = []
     for tasks, unit in zip(params.group_tasks, cache.unit):
         w_g = w[list(tasks)]
@@ -356,9 +372,12 @@ def shared_layer_grad_norms(
     probe forms the K per-task pieces of that gradient, each task's weighted
     gradient at the shared activation run back through the last trunk layer;
     a norm equals that of a `backward` with only task k's weight nonzero, bit
-    for bit.
+    for bit. A trunk-less model has no shared layer: ValueError.
     """
-    _, cache, scaled = _weighted_at_shared(params, batch, weights, cache)
+    if not params.trunk:
+        raise ValueError("a trunk-less model has no shared layer")
+    w, cache = _unit_pass(params, batch, weights, cache)
+    scaled = w[:, None, None] * cache.at_shared
     delta = _backprop(scaled, cache.trunk_z[-1], cache.shared, params.trunk_layers[-1][2])
     pieces = np.matmul(cache.trunk_a[-2].T, delta)
     # sqrt(x . x) over the flattened piece is how np.linalg.norm computes it.

@@ -564,6 +564,15 @@ class TestBaseline:
         with pytest.raises(ValueError):
             bal.step(lv([1.0]))
 
+    def test_steps_return_equal_unmodified_weights(self):
+        # One read-only vector serves every step; a caller cannot alter it.
+        bal = Baseline()
+        first = bal.step(lv([5.0, 1.0]))
+        second = bal.step(lv([1e300, 2.0], t=1))
+        assert first.values.tolist() == second.values.tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            first.values[0] = 2.0
+
 
 class TestMakeBalancer:
     def test_keywords_defaults_and_unknown_names(self):

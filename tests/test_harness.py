@@ -156,6 +156,8 @@ class TestConfig:
             parse_config("scenario = celeb-mini\niterations = soon\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("scenario celeb-mini\n")
+        with pytest.raises(ConfigError, match="trunk"):
+            parse_config("scenario = celeb-mini\ntrunk = \n")
 
     def test_echo_roundtrip(self):
         cfg = fast_config(balancer="dwema", beta=0.25, temperature=1.5, name="trial")
@@ -402,7 +404,7 @@ class TestStepBuffers:
     bit for bit, and no two arrays it keeps (trace rows, balancer history)
     share memory."""
 
-    @pytest.mark.parametrize("balancer", ["ema", "gradnorm"])
+    @pytest.mark.parametrize("balancer", ["ema", "gradnorm", "baseline"])
     def test_logged_rows_hold_copies_equal_to_fresh_buffers(self, balancer):
         # 70 steps cross a block of batch draws (64 steps).
         config = fast_config(balancer=balancer, iterations=70, log_cadence=1)
@@ -471,6 +473,29 @@ class TestSingleTask:
                 run_single_task(cfg, 0, data)
         assert run_single_task(cfg, 0, generate_mtl(**fields)).composite == (
             run_single_task(cfg, 0).composite
+        )
+
+
+def assert_records_match_independent_runs(report, configs, dominant):
+    """Each record equals one built from a run and from separate single-task
+    runs of the same seed, `dominant` being the task the spread leaves out."""
+    for rec, cfg in zip(report.rows, [c for c in configs for _ in range(2)]):
+        seed_cfg = dataclasses.replace(cfg, seed=rec.seed)
+        result = run_experiment(seed_cfg)
+        n_tasks = len(seed_cfg.resolved_tasks())
+        refs = [run_single_task(seed_cfg, k).task_results[0].test_loss for k in range(n_tasks)]
+        losses = np.array([t.test_loss for t in result.task_results])
+        norm = losses / np.maximum(np.array(refs), EPS_FLOOR)
+        assert rec == RunRecord(
+            method=cfg.label,
+            seed=rec.seed,
+            status="ok",
+            composite=result.composite,
+            task_metrics=[t.metric for t in result.task_results],
+            test_losses=losses.tolist(),
+            norm_spread=float(norm.max() / max(norm.min(), EPS_FLOOR)),
+            dominated_norm_loss=float(np.delete(norm, dominant).max()),
+            spikiness=coefficient_spikiness(result.trace.weight_means()),
         )
 
 
@@ -558,31 +583,57 @@ class TestCompare:
         assert [(r.method, r.seed) for r in report.rows] == [
             ("baseline", 3), ("baseline", 4), ("ema", 3), ("ema", 4)
         ]
-        dominant = 7  # celeb-mini's x50 task
-        for rec, cfg in zip(report.rows, [configs[0]] * 2 + [configs[1]] * 2):
-            seed_cfg = dataclasses.replace(cfg, seed=rec.seed)
-            result = run_experiment(seed_cfg)
-            refs = [run_single_task(seed_cfg, k).task_results[0].test_loss for k in range(8)]
-            losses = np.array([t.test_loss for t in result.task_results])
-            norm = losses / np.maximum(np.array(refs), EPS_FLOOR)
-            assert rec == RunRecord(
-                method=cfg.label,
-                seed=rec.seed,
-                status="ok",
-                composite=result.composite,
-                task_metrics=[t.metric for t in result.task_results],
-                test_losses=losses.tolist(),
-                norm_spread=float(norm.max() / max(norm.min(), EPS_FLOOR)),
-                dominated_norm_loss=float(np.delete(norm, dominant).max()),
-                spikiness=coefficient_spikiness(result.trace.weight_means()),
-            )
+        assert_records_match_independent_runs(report, configs, dominant=7)
+
+    # The dominant task is va-mini's x20 one and celeb-mini's x50 one. A
+    # seed's references form two groups on va-mini and one on celeb-mini.
+    @pytest.mark.parametrize("scenario,optimizer,dominant", [
+        ("va-mini", "adam", 2), ("celeb-mini", "sgd", 7),
+    ])
+    def test_references_match_independent_runs(self, scenario, optimizer, dominant):
+        configs = [
+            fast_config(scenario=scenario, optimizer=optimizer, balancer=m, name=m)
+            for m in ("baseline", "ema")
+        ]
+        report = compare(configs, [3, 4], normalized_spread=True)
+        assert_records_match_independent_runs(report, configs, dominant)
 
     def test_reference_abort_disables_spread_but_proceeds(self):
+        # Only the first task's reference diverges, and at the same step
+        # whether it trains alone or beside the other; ema trains through.
         a = dataclasses.replace(DIVERGENT, name="x")
-        report = compare([a], [1], normalized_spread=True)
+        b = dataclasses.replace(DIVERGENT, balancer="ema", name="ema")
+        with pytest.raises(NumericalAbort) as alone:
+            run_single_task(DIVERGENT, 0)
+        run_single_task(DIVERGENT, 1)
+        data = mtlbal.harness._dataset_for(DIVERGENT, None)
+        with pytest.raises(NumericalAbort) as joint:
+            mtlbal.harness._single_task_runs(DIVERGENT, data, [0, 1])
+        assert joint.value.iteration == alone.value.iteration
+        report = compare([a, b], [1], normalized_spread=True)
         assert report.rows[0].status == "failed"
+        assert report.rows[1].status == "ok" and report.rows[1].norm_spread is None
         assert report.summary("x").norm_spread_median is None
+        assert report.summary("ema").norm_spread_median is None
         assert "x,1,1," in report.to_table_text()
+
+    def test_references_whose_losses_sum_past_the_float_range_are_kept(self):
+        # Each reference's loss is finite, about 1e308, but their sum is
+        # not. Separate runs train through, and so does the joint one.
+        cfg = ExperimentConfig(
+            tasks=(TaskSpec("regression-mse", 1, 1.5e103, "a"),
+                   TaskSpec("regression-mse", 1, 8e102, "b")),
+            balancer="ema",
+            seed=1,
+            **{**FAST, "iterations": 5, "log_cadence": 1},
+        )
+        data = mtlbal.harness._dataset_for(cfg, None)
+        joint = mtlbal.harness._single_task_runs(cfg, data, [0, 1])
+        assert joint[0].trace.rows[0]["weighted_total"] == np.inf
+        alone = [run_single_task(cfg, k) for k in range(2)]
+        assert [r.task_results for r in joint] == [r.task_results for r in alone]
+        rec = compare([cfg], [1], normalized_spread=True).rows[0]
+        assert rec.status == "ok" and rec.norm_spread is not None
 
     def test_single_task_scenario_spread_degenerates_to_one(self):
         cfg = ExperimentConfig(

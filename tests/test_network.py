@@ -89,6 +89,8 @@ class TestForward:
     def test_layer_chain_validated(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             ModelParams(trunk=[(3, 2, "relu")], heads=[[(4, 1, "linear")]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ModelParams(trunk=[], heads=[[(3, 1, "linear")], [(4, 1, "linear")]])
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="activation"):
@@ -276,6 +278,40 @@ class TestSharedLayerGradNorms:
         for c in (2.0, 0.5, 4.0):  # powers of two scale without rounding
             scaled = shared_layer_grad_norms(params, batch, c * weights)
             assert np.array_equal(scaled, c * base)
+
+
+class TestTrunkLess:
+    """`unshared` puts one-task models side by side as one trunk-less model."""
+
+    def test_unshared_copies_trunk_and_head_into_each_head(self):
+        full = init_params(2, 5, (7, 6), (4,), (MSE, BCE, MSE, CE3, BCE))
+        tasks = [3, 0, 4, 0]
+        alone = full.unshared(tasks)
+        assert alone.trunk == [] and alone.input_dim == 5
+        assert alone.group_tasks == ((0,), (1, 3), (2,))
+        x = np.linspace(-2.0, 2.0, 40).reshape(8, 5)
+        full_out, alone_out = forward_cache(full, x).outputs, forward_cache(alone, x).outputs
+        for i, k in enumerate(tasks):
+            pairs = alone.head(i)
+            assert len(pairs) == 4  # two trunk layers, then a hidden and an output layer
+            for (w, b), (src_w, src_b) in zip(pairs, full.trunk + full.head(k)):
+                assert (w == src_w).all() and (b == src_b).all()
+            assert np.array_equal(alone_out[i], full_out[k])
+
+    @pytest.mark.parametrize("last_act", ["linear", "sigmoid", "softmax", "relu"])
+    def test_backward_matches_finite_differences(self, last_act):
+        # A stacked group of the two sigmoid heads and a single linear head.
+        for seed, full, batch, weights in mixed_trunk_instances(last_act):
+            params = full.unshared(range(3))
+            assert params.group_tasks == ((0, 1), (2,))
+            _, grads = backward(params, batch, weights)
+            worst = max_fd_error(params, batch, weights, grads)
+            assert worst < 1e-5, f"{last_act} seed {seed}: max relative error {worst}"
+
+    def test_no_shared_layer_to_probe(self):
+        _, full, batch, weights = next(mixed_trunk_instances("relu", count=1))
+        with pytest.raises(ValueError, match="no shared layer"):
+            shared_layer_grad_norms(full.unshared(range(3)), batch, weights)
 
 
 class TestOptimizers:
