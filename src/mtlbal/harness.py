@@ -78,6 +78,10 @@ SCENARIOS = {
 
 OPTIMIZERS = ("adam", "sgd")
 
+#: Bytes a run may be estimated to hold (`ExperimentConfig.memory_estimate`);
+#: a config above it is a ConfigError.
+MEMORY_CAP = 2**30
+
 #: Each config field that sets a balancer hyperparameter, with its name there.
 _BALANCER_FIELDS = {
     "beta": "beta",
@@ -146,7 +150,46 @@ class ExperimentConfig:
         names = task_names(self.resolved_tasks())
         if len(set(names)) < len(names):
             raise ConfigError(f"task labels must be unique, got {names}")
-        self.data_settings()
+        terms = self.memory_estimate()
+        total = sum(terms.values())
+        if total > MEMORY_CAP:
+            name = max(terms, key=terms.get)
+            raise ConfigError(
+                f"a run would hold about {total / 2**30:,.1f} GiB, above the "
+                f"{MEMORY_CAP / 2**30:g} GiB cap; the largest term is the {name} "
+                f"({terms[name] / 2**30:,.1f} GiB)"
+            )
+
+    def memory_estimate(self) -> dict:
+        """Bytes a run holds at its peak, by term, from the config alone.
+
+        The model is the larger one a command trains on this config: the
+        trunk-less stack of the single-task references (`compare`), with a
+        trunk per task. Terms: its parameter vector, gradient and two Adam
+        moments; the dataset's inputs and targets with the arrays that
+        generate them; one block of batch draws; and one array per layer
+        (and the inputs) for a batch of the stack and for the test split
+        under the shared model. ConfigError if a data setting is out of range.
+        """
+        specs, latent = self.resolved_tasks(), self.data_settings()["latent_dim"]
+        k, outs = len(specs), [s.output_dim for s in specs]
+        trunk_sizes = (self.input_dim,) + self.trunk
+        head_sizes = [(self.trunk[-1],) + self.head_hidden + (d,) for d in outs]
+        trunk_params = sum((i + 1) * o for i, o in zip(trunk_sizes, trunk_sizes[1:]))
+        head_params = sum((i + 1) * o for h in head_sizes for i, o in zip(h, h[1:]))
+        heads_width = sum(sum(h[1:]) for h in head_sizes)
+        n, n_test = self.n_samples, self.n_samples - int(0.8 * self.n_samples)
+        target_width = sum(1 if s.kind == "multiclass-ce" else s.output_dim for s in specs)
+        generation = n * (latent + max(outs)) + latent * (self.input_dim + max(outs) + sum(outs))
+        return {
+            "parameters": 8 * 4 * (k * trunk_params + head_params),
+            "dataset": 8 * (n * (self.input_dim + target_width) + generation),
+            "batch draws": 8 * DRAW_BLOCK * self.batch_size,
+            "activations": 8 * (
+                self.batch_size * (self.input_dim + k * sum(self.trunk) + heads_width)
+                + n_test * (self.input_dim + sum(self.trunk) + heads_width)
+            ),
+        }
 
     @property
     def label(self) -> str:

@@ -18,10 +18,12 @@ activation and runs the trunk once on that sum. Only the grad-norm probe
 forms each task's own piece at the LAST trunk layer (the designated
 parameter subset for gradient-norm balancing).
 
-A ForwardCache records one step's forward pass, made new on every step;
-the losses (one loss call per head group), the grad-norm probe and the
-backward pass given that cache share its head pass. Every array a step
-returns is its own: nothing is overwritten by the next step.
+A ForwardCache records one step's forward pass as one array per layer,
+its activation, made new on every step: relu overwrites its matmul output,
+and every activation's derivative is read from the activation itself. The
+losses (one loss call per head group), the grad-norm probe and the backward
+pass given that cache share its head pass. Every array a step returns is
+its own: nothing is overwritten by the next step.
 
 Parameters are single-owner during training; reductions over tasks run in
 task order, so a fixed seed gives a bitwise-identical trajectory.
@@ -50,11 +52,11 @@ INIT_STREAM_TAG = 0x1217
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """kind(z) as a new array (z itself for linear)."""
+    """kind(z): z itself for linear, z overwritten for relu, else a new array."""
     if kind == "linear":
         return z
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
         # exp(-|z|) cannot overflow: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
         a = np.exp(-np.abs(z))
@@ -67,18 +69,19 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return a
 
 
-def _backprop(up: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _backprop(up: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     """Gradient with respect to z given `up`, the gradient with respect to
     a = kind(z), as a new array shaped like `up` (which may have a leading
-    task axis that z and a lack)."""
+    task axis that a lacks)."""
     if kind == "linear":
         return up
     if kind == "relu":
-        # where(z > 0, up, 0.0) without a branch per element (np.where
-        # mispredicts on a random mask): z > 0 as 0 or -1, all bits set,
+        # where(z > 0, up, 0.0), and a > 0 exactly when z > 0 (a NaN z gives
+        # a NaN a; -0.0 and below give a zero). No branch per element (np.where
+        # mispredicts on a random mask): a > 0 as 0 or -1, all bits set,
         # ANDed with the bits of `up`. A multiply by the mask would give
         # -0.0 or NaN (inf * 0) where this gives +0.0.
-        mask = np.negative(z > 0.0, dtype=np.int64)
+        mask = np.negative(a > 0.0, dtype=np.int64)
         return np.bitwise_and(up.view(np.int64), mask).view(np.float64)
     if kind == "sigmoid":
         return up * a * (1.0 - a)
@@ -223,16 +226,16 @@ class ForwardCache:
     """One forward pass over a batch, plus the losses and the unit-weight
     head pass derived from it on first use.
 
-    `trunk_z` holds each trunk layer's pre-activation and `trunk_a` the
-    inputs, then each trunk layer's activation. `group_z`/`group_a` hold each
-    head group's stacked ones of shape (n, batch, fan_out), the activations
-    led by the shared one, and `outputs[k]` is task k's prediction. A
-    training step makes a new cache; `task_losses`, `shared_layer_grad_norms`
-    and `backward` given that cache share its losses and head pass.
+    `trunk_a` holds the inputs, then each trunk layer's activation, and
+    `group_a` each head group's stacked activations of shape
+    (n, batch, fan_out), led by the shared one; `outputs[k]` is task k's
+    prediction. No pre-activation is kept. A training step makes a new
+    cache; `task_losses`, `shared_layer_grad_norms` and `backward` given that
+    cache share its losses and head pass.
     """
 
     def __init__(self, inputs: np.ndarray):
-        self.trunk_z, self.trunk_a, self.group_z, self.group_a = [], [inputs], [], []
+        self.trunk_a, self.group_a = [inputs], []
         self.losses = self.pred_grads = self.unit = self.at_shared = None
 
     @property
@@ -248,21 +251,16 @@ def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     cache = ForwardCache(x)
     a = x
     for (w, b), (_, _, act) in zip(params.trunk, params.trunk_layers):
-        z = np.matmul(a, w)
-        z += b
-        a = _activate(z, act)
-        cache.trunk_z.append(z)
+        a = np.matmul(a, w)
+        a += b
+        a = _activate(a, act)
         cache.trunk_a.append(a)
     for tasks, weights in zip(params.group_tasks, params.groups):
-        zs, as_ = [], [a]
-        h = a
+        as_ = [a]
         for (w, b), (_, _, act) in zip(weights, params.head_layers[tasks[0]]):
-            z = np.matmul(h, w)
-            z += b[:, None, :]
-            h = _activate(z, act)
-            zs.append(z)
-            as_.append(h)
-        cache.group_z.append(zs)
+            h = np.matmul(as_[-1], w)
+            h += b[:, None, :]
+            as_.append(_activate(h, act))
         cache.group_a.append(as_)
     cache.outputs = [cache.group_a[g][-1][i] for g, i in params.slots]
     return cache
@@ -284,17 +282,17 @@ def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.nd
     return cache.losses
 
 
-def _stack_backward(up, weights, layers, zs, as_) -> tuple:
+def _stack_backward(up, weights, layers, as_) -> tuple:
     """Backpropagate `up`, the gradient at a dense stack's top activation,
-    given its cached pre-activations `zs` and activations `as_` (led by the
-    stack's input). Arrays are 2-D, or stacked on a leading axis for a head
-    group. Returns each layer's (weight, bias) gradient, bottom up, and the
-    bottom layer's pre-activation gradient."""
+    given its cached activations `as_` (led by the stack's input). Arrays
+    are 2-D, or stacked on a leading axis for a head group. Returns each
+    layer's (weight, bias) gradient, bottom up, and the bottom layer's
+    pre-activation gradient."""
     grads = []
     for i in range(len(layers) - 1, -1, -1):
         if grads:
             up = np.matmul(delta, weights[i + 1][0].swapaxes(-1, -2))
-        delta = _backprop(up, zs[i], as_[i + 1], layers[i][2])
+        delta = _backprop(up, as_[i + 1], layers[i][2])
         grads.append((np.matmul(as_[i].swapaxes(-1, -2), delta), np.add.reduce(delta, axis=-2)))
     return grads[::-1], delta
 
@@ -318,7 +316,7 @@ def _unit_pass(params: ModelParams, batch: Batch, weights, cache) -> tuple:
         cache.unit = []
         for g, (tasks, pairs) in enumerate(zip(params.group_tasks, params.groups)):
             layers, up = params.head_layers[tasks[0]], cache.pred_grads[g]
-            unit, delta = _stack_backward(up, pairs, layers, cache.group_z[g], cache.group_a[g])
+            unit, delta = _stack_backward(up, pairs, layers, cache.group_a[g])
             cache.unit.append(unit)
             if params.trunk:
                 cache.at_shared[list(tasks)] = np.matmul(delta, pairs[0][0].swapaxes(-1, -2))
@@ -340,7 +338,7 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
     trunk = []
     if params.trunk:
         up = np.add.reduce(w[:, None, None] * cache.at_shared, axis=0)
-        trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, cache.trunk_z, cache.trunk_a)
+        trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, cache.trunk_a)
     heads = []
     for tasks, unit in zip(params.group_tasks, cache.unit):
         w_g = w[list(tasks)]
@@ -378,7 +376,7 @@ def shared_layer_grad_norms(
         raise ValueError("a trunk-less model has no shared layer")
     w, cache = _unit_pass(params, batch, weights, cache)
     scaled = w[:, None, None] * cache.at_shared
-    delta = _backprop(scaled, cache.trunk_z[-1], cache.shared, params.trunk_layers[-1][2])
+    delta = _backprop(scaled, cache.shared, params.trunk_layers[-1][2])
     pieces = np.matmul(cache.trunk_a[-2].T, delta)
     # sqrt(x . x) over the flattened piece is how np.linalg.norm computes it.
     return np.sqrt([p.dot(p) for p in pieces.reshape(params.n_tasks, -1)])

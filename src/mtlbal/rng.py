@@ -9,7 +9,9 @@ so a run is reproducible from its seed alone.
 
 Derived values:
   - uniforms: top 53 bits of each output, scaled by 2^-53, in [0, 1)
-  - normals: Box-Muller pairs from consecutive uniforms (u1 shifted to (0, 1])
+  - normals: Box-Muller pairs; n normals take 2 * ceil(n / 2) draws, pair i
+    its u1 (shifted to (0, 1]) from draw i and its u2 from draw
+    ceil(n / 2) + i
   - bounded ints: output modulo n (documented bias is negligible for n << 2^64)
   - permutations: Fisher-Yates, swapping index i with a bounded draw in [0, i]
 
@@ -25,6 +27,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
+
+#: Box-Muller pairs computed at a time: `normal`'s temporaries are one block.
+NORMAL_BLOCK = 8192
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -46,11 +51,16 @@ class SplitMix64:
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._n = 0  # draws consumed
 
+    def _raw_at(self, start: int, count: int) -> np.ndarray:
+        """Raw outputs start + 1 .. start + count, without advancing."""
+        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        return _mix64(_U64(self.seed) + idx * _GOLDEN)
+
     def next_raw(self, count: int) -> np.ndarray:
         """Next `count` raw 64-bit outputs as a uint64 array."""
-        idx = np.arange(self._n + 1, self._n + count + 1, dtype=np.uint64)
+        raw = self._raw_at(self._n, count)
         self._n += count
-        return _mix64(_U64(self.seed) + idx * _GOLDEN)
+        return raw
 
     def uniform(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
         """Uniforms in [0, 1) from the top 53 bits of each output."""
@@ -60,16 +70,29 @@ class SplitMix64:
         return u.reshape(shape) if shape else float(u[0])
 
     def normal(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
-        """Standard normals via Box-Muller on consecutive uniform pairs."""
+        """Standard normals via Box-Muller: pair i gives element i the cosine
+        and element ceil(n / 2) + i the sine (an odd n drops the last sine).
+        Pairs are computed NORMAL_BLOCK at a time straight into the result."""
         shape = (shape,) if isinstance(shape, int) else shape
         n = int(np.prod(shape)) if shape else 1
-        pairs = (n + 1) // 2
-        raw = (self.next_raw(2 * pairs) >> _U64(11)).astype(np.float64)
-        u1 = (raw[:pairs] + 1.0) * 2.0**-53  # (0, 1] so log is finite
-        u2 = raw[pairs:] * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        pairs, start = (n + 1) // 2, self._n
+        self._n += 2 * pairs
+        z = np.empty(2 * pairs)
+        for lo in range(0, pairs, NORMAL_BLOCK):
+            hi = min(lo + NORMAL_BLOCK, pairs)
+            r = (self._raw_at(start + lo, hi - lo) >> _U64(11)).astype(np.float64)
+            r += 1.0
+            r *= 2.0**-53  # u1 in (0, 1] so log is finite
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta = (self._raw_at(start + pairs + lo, hi - lo) >> _U64(11)).astype(np.float64)
+            theta *= 2.0**-53
+            theta *= 2.0 * np.pi
+            for part, fn in ((z[lo:hi], np.cos), (z[pairs + lo : pairs + hi], np.sin)):
+                fn(theta, out=part)
+                part *= r
+        z = z[:n]
         return z.reshape(shape) if shape else float(z[0])
 
     def below(self, n: int, count: int | None = None) -> np.ndarray | int:

@@ -51,9 +51,14 @@ def weighted_total(params, batch, weights):
 
 def has_relu_kink(params, batch, margin=1e-4):
     """True when any hidden pre-activation sits close enough to the relu kink
-    that a finite-difference probe would cross it."""
+    that a finite-difference probe would cross it. The forward record keeps
+    activations only, so each trunk layer's and each hidden head layer's
+    pre-activation is recomputed from its recorded input with the forward's
+    own operations."""
     cache = forward_cache(params, batch.inputs)
-    zs = list(cache.trunk_z) + [z for zs_ in cache.group_z for z in zs_[:-1]]
+    zs = [np.matmul(x, w) + b for (w, b), x in zip(params.trunk, cache.trunk_a)]
+    for pairs, as_ in zip(params.groups, cache.group_a):
+        zs += [np.matmul(h, w) + b[:, None, :] for (w, b), h in zip(pairs[:-1], as_)]
     return any(np.any(np.abs(z) < margin) for z in zs)
 
 

@@ -151,21 +151,46 @@ class TestRunCommand:
         assert "non-finite test metrics after 0 iterations" in err
         assert "non-finite loss" not in err
 
-    def test_config_too_large_for_memory_exits_one_without_traceback(self, tmp_path):
-        # The trunk's 298 GiB parameter vector cannot be allocated under an
-        # address-space limit set in the child process only.
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text("scenario = celeb-mini\ntrunk = 200000,200000\niterations = 1\n")
-        limit = 1_500_000 * 1024
+    @staticmethod
+    def run_capped(args, cwd, limit_kib):
+        """Run the CLI in a child process whose address space is limited."""
+        limit = limit_kib * 1024
         env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mtlbal.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
+        return subprocess.run(
+            [sys.executable, "-m", "mtlbal.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
+
+    def test_config_too_large_for_memory_exits_one_without_traceback(self, tmp_path):
+        # The config passes the memory cap (about 0.7 GiB), but its 150 MiB
+        # arrays cannot all be allocated under a limit set in the child only.
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text("scenario = celeb-mini\nn_samples = 600000\niterations = 1\n")
+        proc = self.run_capped(["run", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                               tmp_path, 400_000)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["config error: the config needs more memory than is available"]
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("setting, term", [
+        ("trunk = 200000,200000", "parameters"),
+        ("n_samples = 2000000000", "activations"),
+        ("batch_size = 100000000\nn_samples = 1000", "activations"),
+    ], ids=["trunk", "n_samples", "batch_size"])
+    @pytest.mark.parametrize("command", [[], ["--methods", "baseline,ema", "--seeds", "1..2", "--jobs", "1"],
+                                         ["--methods", "baseline,ema", "--seeds", "1..2", "--jobs", "2"]],
+                             ids=["run", "compare-jobs1", "compare-jobs2"])
+    def test_config_past_the_memory_cap_exits_one_before_allocating(self, tmp_path, setting, term, command):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"scenario = celeb-mini\n{setting}\niterations = 1\n")
+        args = ["compare" if command else "run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        proc = self.run_capped(args + command, tmp_path, 1_500_000)
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert re.fullmatch(
+            rf"config error: a run would hold about [\d,.]+ GiB, above the 1 GiB cap; "
+            rf"the largest term is the {term} \([\d,.]+ GiB\)", line), line
 
     @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
     def test_seed_outside_64_bits_exits_one_without_traceback(self, config_file, tmp_path, seed):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from mtlbal.balancers import (
 )
 from mtlbal.harness import (
     COMPARE_COLUMNS,
+    MEMORY_CAP,
     SCENARIOS,
     SWEEP_COLUMNS,
     SWEEPABLE,
@@ -205,6 +207,71 @@ class TestConfig:
         cfg = parse_config("# comment\n\nscenario = va-mini\nbalancer = dwa\n")
         assert cfg.scenario == "va-mini"
         assert cfg.balancer == "dwa"
+
+
+#: A one-task net of width at most 4, whose dataset and batch draws outweigh
+#: its activations.
+NARROW = dict(scenario=None, tasks=(TaskSpec("regression-mse", 1, 1.0, "r"),),
+              input_dim=3, trunk=(4,), head_hidden=(2,))
+
+
+class TestMemoryCap:
+    """`validate` refuses a config whose estimated bytes pass MEMORY_CAP and
+    names the largest term; it reads the config only and allocates nothing."""
+
+    @staticmethod
+    def validates(config) -> bool:
+        try:
+            config.validate()
+        except ConfigError as exc:
+            assert "GiB cap" in str(exc)
+            return False
+        return True
+
+    @pytest.mark.parametrize("term, base, field", [
+        ("parameters", dict(scenario="celeb-mini"), lambda v: dict(trunk=(v, v))),
+        ("dataset", NARROW, lambda v: dict(n_samples=v)),
+        ("batch draws", NARROW, lambda v: dict(batch_size=v)),
+        ("activations", dict(scenario="celeb-mini"), lambda v: dict(batch_size=v)),
+    ])
+    def test_each_term_at_and_beyond_the_cap(self, term, base, field):
+        def config(v):
+            return ExperimentConfig(**base, **field(v))
+
+        lo, hi = 10, 2**50  # the largest size that validates lies in [lo, hi)
+        assert self.validates(config(lo)) and not self.validates(config(hi))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.validates(config(mid)) else (lo, mid)
+        at, beyond = config(lo).memory_estimate(), config(hi).memory_estimate()
+        assert sum(at.values()) <= MEMORY_CAP < sum(beyond.values())
+        assert max(at, key=at.get) == max(beyond, key=beyond.get) == term
+        with pytest.raises(ConfigError, match=f"GiB cap; the largest term is the {term} "):
+            config(hi).validate()
+
+    def test_estimate_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            for kw in (dict(trunk=(200000, 200000)), dict(n_samples=2 * 10**9),
+                       dict(batch_size=10**8, n_samples=1000)):
+                assert not self.validates(ExperimentConfig(scenario="celeb-mini", **kw))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_estimate_by_hand_for_celeb_mini(self):
+        # 8 tasks; trunk 32 -> 64 -> 64; heads 64 -> 32 -> 1; 1600 test rows.
+        est = ExperimentConfig(scenario="celeb-mini").memory_estimate()
+        trunk, head = 33 * 64 + 65 * 64, 65 * 32 + 33
+        assert est["parameters"] == 32 * (8 * trunk + 8 * head)
+        assert est["dataset"] == 8 * (8000 * (32 + 8) + 8000 * (32 + 1) + 32 * (32 + 1 + 8))
+        assert est["batch draws"] == 8 * 64 * 64
+        assert est["activations"] == 8 * (64 * (32 + 8 * 128 + 8 * 33) + 1600 * (32 + 128 + 8 * 33))
+
+    def test_scenario_defaults_are_far_below_the_cap(self):
+        for name in SCENARIOS:
+            assert sum(ExperimentConfig(scenario=name).memory_estimate().values()) < MEMORY_CAP / 50
 
 
 BALANCER_CLASSES = [type(make_balancer(name)) for name in BALANCER_NAMES]

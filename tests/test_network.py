@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from mtlbal import network
 from mtlbal.network import (
     ModelParams,
+    _activate,
+    _backprop,
     adam_step,
     backward,
     forward_cache,
@@ -110,6 +113,59 @@ class TestForward:
         for k in range(params.n_tasks):
             alone = forward_cache(params.select([k]), x)
             assert np.array_equal(full.outputs[k], alone.outputs[0])
+
+
+class TestActivationOnlyRecord:
+    """The forward record keeps one array per layer, its activation."""
+
+    EDGES = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.5, -1.5])
+
+    def test_relu_mask_from_activation_equals_pre_activation_mask(self):
+        z = np.concatenate([np.repeat(self.EDGES, self.EDGES.size), -self.EDGES])
+        up = np.concatenate([np.tile(self.EDGES, self.EDGES.size), self.EDGES])
+        expected = np.where(z > 0.0, up, 0.0)  # the mask read from z
+        a = _activate(z.copy(), "relu")
+        got = _backprop(up, a, "relu")
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        # With a leading task axis on `up`, as at the shared activation.
+        stacked = np.stack([up, -up, up[::-1]])
+        got = _backprop(stacked, a, "relu")
+        assert np.array_equal(got.view(np.int64), np.where(z > 0.0, stacked, 0.0).view(np.int64))
+
+    def test_relu_activation_overwrites_matmul_output(self, monkeypatch):
+        products = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                products.append(np.matmul(*args, **kwargs))
+                return products[-1]
+
+        monkeypatch.setattr(network, "np", RecordingNumpy())
+        params = ModelParams(
+            trunk=[(3, 4, "relu"), (4, 4, "relu")],
+            heads=[[(4, 2, "relu"), (2, 1, "sigmoid")]] * 2 + [[(4, 2, "linear")]],
+        )
+        params.vector[...] = SplitMix64(3).normal(params.vector.shape)
+        cache = forward_cache(params, SplitMix64(4).normal((5, 3)))
+        records = cache.trunk_a[1:] + [a for as_ in cache.group_a for a in as_[1:]]
+        layers = list(params.trunk_layers) + [
+            layer for tasks in params.group_tasks for layer in params.head_layers[tasks[0]]
+        ]
+        assert len(records) == len(layers) == len(products)
+        for record, product, (_, _, act) in zip(records, products, layers):
+            assert (record is product) == (act in ("relu", "linear")), act
+
+    def test_cache_holds_no_pre_activations(self):
+        params, batch, _ = random_instance(3, kinds=("regression-mse", "binary-bce"))
+        cache = forward_cache(params, batch.inputs)
+        assert {"trunk_z", "group_z"}.isdisjoint(vars(cache))
+        assert len(cache.trunk_a) == len(params.trunk) + 1
+        assert [len(as_) for as_ in cache.group_a] == [
+            len(params.head_layers[tasks[0]]) + 1 for tasks in params.group_tasks
+        ]
 
 
 class TestBackward:

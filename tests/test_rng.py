@@ -1,11 +1,13 @@
 """The generator must match the reference splitmix64 algorithm bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtlbal.rng import SplitMix64, derive
+from mtlbal.rng import NORMAL_BLOCK, SplitMix64, derive
 
 _MASK = (1 << 64) - 1
 
@@ -21,6 +23,25 @@ def _reference_stream(seed, n):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         out.append((z ^ (z >> 31)) & _MASK)
     return out
+
+
+def _one_shot_normal(stream, shape=()):
+    """Box-Muller over all of a call's draws at once: the reference for the
+    block-wise `SplitMix64.normal`."""
+    shape = (shape,) if isinstance(shape, int) else shape
+    n = int(np.prod(shape)) if shape else 1
+    pairs = (n + 1) // 2
+    raw = (stream.next_raw(2 * pairs) >> np.uint64(11)).astype(np.float64)
+    u1 = (raw[:pairs] + 1.0) * 2.0**-53
+    u2 = raw[pairs:] * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return z.reshape(shape) if shape else float(z[0])
+
+
+#: Pair counts at and around the block edges.
+_EDGE_PAIRS = (0, 1, 2, 3, NORMAL_BLOCK - 1, NORMAL_BLOCK, NORMAL_BLOCK + 1, 2 * NORMAL_BLOCK + 1)
 
 
 class TestRawStream:
@@ -60,6 +81,45 @@ class TestDerived:
         z = SplitMix64(5).normal(200_000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, _MASK),
+        pairs=st.one_of(st.sampled_from(_EDGE_PAIRS), st.integers(0, 3 * NORMAL_BLOCK)),
+        odd=st.booleans(),
+        consumed=st.integers(0, 50),
+    )
+    def test_block_draws_match_one_shot_box_muller(self, seed, pairs, odd, consumed):
+        n = max(2 * pairs - odd, 0)
+        stream, ref = SplitMix64(seed), SplitMix64(seed)
+        stream.next_raw(consumed)
+        ref.next_raw(consumed)
+        got, expected = stream.normal(n), _one_shot_normal(ref, n)
+        assert got.shape == expected.shape == (n,)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert stream.next_raw(1)[0] == ref.next_raw(1)[0]
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (3, 5), (2 * NORMAL_BLOCK + 1, 2)])
+    def test_normal_shapes_match_one_shot_box_muller(self, shape):
+        stream, ref = SplitMix64(17), SplitMix64(17)
+        got, expected = stream.normal(shape), _one_shot_normal(ref, shape)
+        if shape == ():
+            assert isinstance(got, float)
+            got, expected = np.array(got), np.array(expected)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert stream.next_raw(1)[0] == ref.next_raw(1)[0]
+
+    def test_normal_temporaries_are_one_block(self):
+        # The 8000 x 32 result is 2.05 MB; one pass over all its draws peaked
+        # at 10.2 MB.
+        tracemalloc.start()
+        try:
+            SplitMix64(5).normal((8000, 32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
     def test_normal_shape_and_scalar(self):
         assert SplitMix64(1).normal((3, 4)).shape == (3, 4)
