@@ -40,7 +40,8 @@ logger = logging.getLogger(__name__)
 #: Floor applied inside every reciprocal and ratio to keep zero losses finite.
 EPS_FLOOR = 1e-8
 
-#: Lower clamp on gradient-norm coefficients (the L1 descent can cross zero).
+#: Lower clamp on gradient-norm coefficients (the L1 descent can cross zero),
+#: applied before the rescale to sum K.
 GRADNORM_COEFF_MIN = 1e-6
 
 
@@ -315,7 +316,9 @@ class GradNorm(Balancer):
         targets G*(k) = mean(grad_norms) * r(k)**alpha, held constant; the step
         descends sum_k |grad_norms_k - G*(k)| in the coefficients, using the fact
         that each norm is linear in its own coefficient. Coefficients are clamped
-        positive and renormalized to sum K.
+        to at least GRADNORM_COEFF_MIN and then rescaled to sum K, so the floor
+        holds before the rescale only: a large coefficient can push the others
+        below it (va-mini under sgd reaches 3.0e-72 within 21 steps).
 
         Reference losses at or below EPS_FLOOR are clamped (a task that starts
         at zero loss has no meaningful relative rate) and the clamp is logged.

@@ -40,7 +40,7 @@ from .metrics import (
     f1_macro,
 )
 from .rng import SplitMix64, derive
-from .tasks import Dataset, TaskSpec, generate_mtl, loss_and_grad, specs_from_text, specs_to_text
+from .tasks import Dataset, TaskSpec, generate_mtl, specs_from_text, specs_to_text
 from .textio import fmt, table_text
 
 #: Purpose tag for the batch-sampling stream.
@@ -173,12 +173,11 @@ class ExperimentConfig:
         """
         specs, latent = self.resolved_tasks(), self.data_settings()["latent_dim"]
         k, outs = len(specs), [s.output_dim for s in specs]
-        trunk_sizes = (self.input_dim,) + self.trunk
-        head_sizes = [(self.trunk[-1],) + self.head_hidden + (d,) for d in outs]
-        trunk_params = sum((i + 1) * o for i, o in zip(trunk_sizes, trunk_sizes[1:]))
-        head_params = sum((i + 1) * o for h in head_sizes for i, o in zip(h, h[1:]))
-        heads_width = sum(sum(h[1:]) for h in head_sizes)
-        n, n_test = self.n_samples, self.n_samples - int(0.8 * self.n_samples)
+        trunk, heads = network.layer_shapes(self.input_dim, self.trunk, self.head_hidden, specs)
+        trunk_params = sum((i + 1) * o for i, o, _ in trunk)
+        head_params = sum((i + 1) * o for h in heads for i, o, _ in h)
+        heads_width = sum(o for h in heads for _, o, _ in h)
+        n, n_test = self.n_samples, self.n_samples - tasks.train_size(self.n_samples)
         target_width = sum(1 if s.kind == "multiclass-ce" else s.output_dim for s in specs)
         generation = n * (latent + max(outs)) + latent * (self.input_dim + max(outs) + sum(outs))
         return {
@@ -283,14 +282,13 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
         # loss check on aborts this run, not the process. Errors before it
         # (a malformed batch or parameters) propagate as they are.
         with np.errstate(over="ignore", invalid="ignore"):
-            cache = network.forward_cache(params, batch.inputs)
-            raw_losses = network.task_losses(params, cache, batch)
+            step = network.HeadPass(params, batch)
             try:
-                loss_vec = LossVector(raw_losses, iteration=t)
+                loss_vec = LossVector(step.losses, iteration=t)
                 grad_norms = None
                 if balancer.requires_grad_norms:
                     grad_norms = network.shared_layer_grad_norms(
-                        params, batch, balancer.coefficients(k), cache
+                        params, batch, balancer.coefficients(k), step
                     )
                 weights = balancer.step(loss_vec, grad_norms)
                 total = combine(weights, loss_vec)
@@ -298,7 +296,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
                 # one finite loss, but their sum may still overflow.
                 if params.trunk and not math.isfinite(total):
                     raise ValueError("weighted total not finite")
-                _, grads = network.backward(params, batch, weights.values, cache)
+                _, grads = network.backward(params, batch, weights.values, step)
                 if config.optimizer == "adam":
                     network.adam_step(params, grads, moments, t + 1, config.lr)
                 else:
@@ -328,14 +326,13 @@ def evaluate_model(params, data: Dataset):
     Runs with float overflow silenced: a diverged model produces non-finite
     metrics here, which the caller turns into a NumericalAbort.
     """
-    test_x = data.inputs[data.test_index]
+    test = data.batch(data.test_index)
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
-        cache = network.forward_cache(params, test_x)
+        cache = network.forward_cache(params, test.inputs)
+        losses, _ = network.task_losses(params, cache, test)
         for k, (spec, name) in enumerate(zip(data.specs, task_names(data.specs))):
-            out = cache.outputs[k]
-            target = data.targets[k][data.test_index]
-            loss_k = loss_and_grad(spec.kind, out, target, spec.loss_scale)[0]
+            out, target = cache.outputs[k], test.targets[k]
             # Composite groups: regressions pool into one mean-CCC group, binaries
             # into one mean-F1 group, and each multiclass task is its own F1 group.
             if spec.kind == "binary-bce":
@@ -348,15 +345,7 @@ def evaluate_model(params, data: Dataset):
                 cols = [ccc(out[:, j], target[:, j]) for j in range(spec.output_dim)]
                 metric = float(np.mean(cols))
                 group = "ccc"
-            results.append(
-                TaskResult(
-                    name=name,
-                    kind=spec.kind,
-                    metric=metric,
-                    test_loss=loss_k,
-                    group=group,
-                )
-            )
+            results.append(TaskResult(name, spec.kind, metric, float(losses[k]), group))
     composite = composite_score([(r.metric, r.group) for r in results])
     return results, composite
 
@@ -432,12 +421,7 @@ def _evaluated(config: ExperimentConfig, params, data: Dataset, balancer, trace)
     if not np.isfinite([composite] + [t.test_loss for t in task_results]).all():
         message = f"non-finite test metrics after {config.iterations} iterations"
         raise NumericalAbort(config.iterations, snapshot(balancer), message)
-    return RunResult(
-        config=config,
-        task_results=task_results,
-        composite=composite,
-        trace=trace,
-    )
+    return RunResult(config, task_results, composite, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,16 @@ train as one run whose equal heads stack.
 
 Forward/backward are written out explicitly in numpy, with gradients that
 are exact derivatives of the weighted total sum_k weight(k) * loss(k), the
-weights held constant. One helper runs any dense stack backward, the trunk
-or a head group. Each step runs the heads backward once at unit task
-weight; `backward` sums the tasks' weighted gradients at the shared
-activation and runs the trunk once on that sum. Only the grad-norm probe
-forms each task's own piece at the LAST trunk layer (the designated
-parameter subset for gradient-norm balancing).
-
-A ForwardCache records one step's forward pass as one array per layer,
-its activation, made new on every step: relu overwrites its matmul output,
-and every activation's derivative is read from the activation itself. The
-losses (one loss call per head group), the grad-norm probe and the backward
-pass given that cache share its head pass. Every array a step returns is
-its own: nothing is overwritten by the next step.
+weights held constant. One helper runs any dense stack forward and one runs
+it backward, the trunk or a head group. A training step builds one
+`HeadPass`, whole: the forward record (`ForwardCache`: one array per layer,
+its activation, from which every derivative is read; relu overwrites its
+matmul output), the losses (one loss call per head group) and the heads run
+backward once at unit task weight. `backward` sums the tasks' weighted
+gradients at the shared activation and runs the trunk once on that sum.
+Only the grad-norm probe forms each task's own piece at the LAST trunk
+layer (the designated parameter subset for gradient-norm balancing). Every
+array a step returns is its own: nothing is overwritten by the next step.
 
 Parameters are single-owner during training; reductions over tasks run in
 task order, so a fixed seed gives a bitwise-identical trajectory.
@@ -32,6 +29,7 @@ task order, so a fixed seed gives a bitwise-identical trajectory.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,98 +194,98 @@ class ModelParams:
         return out
 
 
-def init_params(seed: int, input_dim: int, trunk_sizes, head_hidden, specs) -> ModelParams:
-    """He-scaled random init (std sqrt(2/fan_in)), zero biases.
-
-    Draw order: trunk layers first, then each head's layers in task order,
-    all from the stream derived from (seed, INIT_STREAM_TAG). Trunk and head
-    hidden layers are relu; each head ends in a task-kind output layer.
-    """
-    stream = SplitMix64(derive(seed, INIT_STREAM_TAG))
-    trunk, width = [], input_dim
-    for size in trunk_sizes:
-        trunk.append((width, size, "relu"))
-        width = size
+def layer_shapes(input_dim: int, trunk_sizes, head_hidden, specs) -> tuple:
+    """The model's (fan_in, fan_out, activation) layers: the trunk's, and
+    one sequence per task spec for its head. Trunk and head hidden layers
+    are relu; each head ends in a task-kind output layer."""
+    widths = (input_dim, *trunk_sizes)
+    trunk = [(i, o, "relu") for i, o in zip(widths, widths[1:])]
     heads = []
     for spec in specs:
-        head, h_width = [], width
-        for size in head_hidden:
-            head.append((h_width, size, "relu"))
-            h_width = size
-        head.append((h_width, spec.output_dim, OUTPUT_ACTIVATION[spec.kind]))
-        heads.append(head)
-    params = ModelParams(trunk, heads)
+        sizes = (widths[-1], *head_hidden, spec.output_dim)
+        acts = ("relu",) * len(head_hidden) + (OUTPUT_ACTIVATION[spec.kind],)
+        heads.append(list(zip(sizes, sizes[1:], acts)))
+    return trunk, heads
+
+
+def init_params(seed: int, input_dim: int, trunk_sizes, head_hidden, specs) -> ModelParams:
+    """He-scaled random init (std sqrt(2/fan_in)), zero biases, of the
+    layers `layer_shapes` gives.
+
+    Draw order: trunk layers first, then each head's layers in task order,
+    all from the stream derived from (seed, INIT_STREAM_TAG).
+    """
+    stream = SplitMix64(derive(seed, INIT_STREAM_TAG))
+    params = ModelParams(*layer_shapes(input_dim, trunk_sizes, head_hidden, specs))
     for w, _ in params.trunk + [pair for k in range(params.n_tasks) for pair in params.head(k)]:
         w[...] = stream.normal(w.shape) * np.sqrt(2.0 / w.shape[0])
     return params
 
 
+@dataclass
 class ForwardCache:
-    """One forward pass over a batch, plus the losses and the unit-weight
-    head pass derived from it on first use.
+    """One forward pass over a batch, as one array per layer, its activation.
 
     `trunk_a` holds the inputs, then each trunk layer's activation, and
     `group_a` each head group's stacked activations of shape
     (n, batch, fan_out), led by the shared one; `outputs[k]` is task k's
-    prediction. No pre-activation is kept. A training step makes a new
-    cache; `task_losses`, `shared_layer_grad_norms` and `backward` given that
-    cache share its losses and head pass.
+    prediction. No pre-activation is kept.
     """
 
-    def __init__(self, inputs: np.ndarray):
-        self.trunk_a, self.group_a = [inputs], []
-        self.losses = self.pred_grads = self.unit = self.at_shared = None
+    trunk_a: list
+    group_a: list
+    outputs: list
 
     @property
     def shared(self) -> np.ndarray:
         return self.trunk_a[-1]
 
 
+def _stack_forward(x, weights, layers) -> list:
+    """Run a dense stack forward from its input `x`: the input, then each
+    layer's activation. Weights are 2-D, or stacked on a leading axis for a
+    head group, whose activations then carry that axis."""
+    as_ = [x]
+    for (w, b), (_, _, act) in zip(weights, layers):
+        a = np.matmul(as_[-1], w)
+        a += b[..., None, :]
+        as_.append(_activate(a, act))
+    return as_
+
+
 def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
-    """Run the forward pass over `inputs` and return it as a new cache."""
+    """Run the forward pass over `inputs` and return it as a new record."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"inputs {x.shape} do not match input_dim {params.input_dim}")
-    cache = ForwardCache(x)
-    a = x
-    for (w, b), (_, _, act) in zip(params.trunk, params.trunk_layers):
-        a = np.matmul(a, w)
-        a += b
-        a = _activate(a, act)
-        cache.trunk_a.append(a)
-    for tasks, weights in zip(params.group_tasks, params.groups):
-        as_ = [a]
-        for (w, b), (_, _, act) in zip(weights, params.head_layers[tasks[0]]):
-            h = np.matmul(as_[-1], w)
-            h += b[:, None, :]
-            as_.append(_activate(h, act))
-        cache.group_a.append(as_)
-    cache.outputs = [cache.group_a[g][-1][i] for g, i in params.slots]
-    return cache
+    trunk_a = _stack_forward(x, params.trunk, params.trunk_layers)
+    group_a = [
+        _stack_forward(trunk_a[-1], pairs, params.head_layers[tasks[0]])
+        for tasks, pairs in zip(params.group_tasks, params.groups)
+    ]
+    return ForwardCache(trunk_a, group_a, [group_a[g][-1][i] for g, i in params.slots])
 
 
-def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> np.ndarray:
-    """Raw (unweighted) per-task losses; also keeps d loss / d prediction.
-    One loss call per head group."""
-    if cache.losses is None:
-        losses, cache.pred_grads = np.empty(params.n_tasks), []
-        for tasks, outputs in zip(params.group_tasks, cache.group_a):
-            specs = [batch.specs[k] for k in tasks]
-            targets = np.concatenate([batch.targets[k] for k in tasks])
-            targets = targets.reshape((len(tasks),) + np.shape(batch.targets[tasks[0]]))
-            scales = np.array([s.loss_scale for s in specs])
-            losses[list(tasks)], grad = loss_and_grad(specs[0].kind, outputs[-1], targets, scales)
-            cache.pred_grads.append(grad)
-        cache.losses = losses
-    return cache.losses
+def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> tuple:
+    """Raw (unweighted) per-task losses, and each head group's stacked
+    d loss / d prediction. One loss call per head group."""
+    losses, pred_grads = np.empty(params.n_tasks), []
+    for tasks, outputs in zip(params.group_tasks, cache.group_a):
+        specs = [batch.specs[k] for k in tasks]
+        targets = np.concatenate([batch.targets[k] for k in tasks])
+        targets = targets.reshape((len(tasks),) + np.shape(batch.targets[tasks[0]]))
+        scales = np.array([s.loss_scale for s in specs])
+        losses[list(tasks)], grad = loss_and_grad(specs[0].kind, outputs[-1], targets, scales)
+        pred_grads.append(grad)
+    return losses, pred_grads
 
 
 def _stack_backward(up, weights, layers, as_) -> tuple:
     """Backpropagate `up`, the gradient at a dense stack's top activation,
-    given its cached activations `as_` (led by the stack's input). Arrays
-    are 2-D, or stacked on a leading axis for a head group. Returns each
-    layer's (weight, bias) gradient, bottom up, and the bottom layer's
-    pre-activation gradient."""
+    given its recorded activations `as_` (led by the stack's input). Arrays
+    are 2-D, or stacked on a leading axis for a head group or for the tasks'
+    gradients. Returns each layer's (weight, bias) gradient, bottom up, and
+    the bottom layer's pre-activation gradient."""
     grads = []
     for i in range(len(layers) - 1, -1, -1):
         if grads:
@@ -297,50 +295,54 @@ def _stack_backward(up, weights, layers, as_) -> tuple:
     return grads[::-1], delta
 
 
-def _unit_pass(params: ModelParams, batch: Batch, weights, cache) -> tuple:
-    """The weights as an array and the step's cache (made if None), after
-    the heads have run backward at unit task weight, once per forward: each
-    head group's layer gradients are in `cache.unit` and, below a trunk,
-    each task's gradient at the shared activation is in `cache.at_shared`,
-    of shape (K, batch, width). A trunk-less model forms no gradient at its
-    inputs."""
+class HeadPass:
+    """One training step's forward record (`cache`), raw per-task `losses`,
+    and heads run backward at unit task weight: `unit[g]` is head group g's
+    layer gradients and, below a trunk, `at_shared` each task's gradient at
+    the shared activation, of shape (K, batch, width); a trunk-less model's
+    is None. `backward` and `shared_layer_grad_norms` reuse it when given it."""
+
+    def __init__(self, params: ModelParams, batch: Batch):
+        self.cache = forward_cache(params, batch.inputs)
+        self.losses, pred_grads = task_losses(params, self.cache, batch)
+        self.unit, self.at_shared = [], None
+        if params.trunk:
+            self.at_shared = np.empty((params.n_tasks,) + self.cache.shared.shape)
+        groups = zip(params.group_tasks, params.groups, pred_grads, self.cache.group_a)
+        for tasks, pairs, up, as_ in groups:
+            unit, delta = _stack_backward(up, pairs, params.head_layers[tasks[0]], as_)
+            self.unit.append(unit)
+            if params.trunk:
+                self.at_shared[list(tasks)] = np.matmul(delta, pairs[0][0].swapaxes(-1, -2))
+
+
+def _task_weights(params: ModelParams, weights) -> np.ndarray:
+    """`weights` as a float64 array of one weight per task; ValueError otherwise."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (params.n_tasks,):
         raise ValueError(f"need {params.n_tasks} weights, got shape {w.shape}")
-    if cache is None:
-        cache = forward_cache(params, batch.inputs)
-    if cache.unit is None:
-        task_losses(params, cache, batch)
-        if params.trunk:
-            cache.at_shared = np.empty((params.n_tasks,) + cache.shared.shape)
-        cache.unit = []
-        for g, (tasks, pairs) in enumerate(zip(params.group_tasks, params.groups)):
-            layers, up = params.head_layers[tasks[0]], cache.pred_grads[g]
-            unit, delta = _stack_backward(up, pairs, layers, cache.group_a[g])
-            cache.unit.append(unit)
-            if params.trunk:
-                cache.at_shared[list(tasks)] = np.matmul(delta, pairs[0][0].swapaxes(-1, -2))
-    return w, cache
+    return w
 
 
-def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | None = None):
+def backward(params: ModelParams, batch: Batch, weights, step: HeadPass | None = None):
     """Per-task raw losses and the exact gradient vector of the weighted total.
 
     Losses are returned UNWEIGHTED (balancers consume raw magnitudes); the
     gradient differentiates sum_k weight(k) * loss(k) with the weights as
     constants, as a new vector in the layout of `params.vector`. The tasks'
     weighted gradients at the shared activation are summed in task order,
-    and the trunk, if any, is run backward once on that sum. Pass the step's
-    `cache` to reuse its forward and head pass.
+    and the trunk, if any, is run backward once on that sum. `step` is the
+    step's HeadPass over `batch`, made here if omitted.
     Raises ValueError naming an array if that array's gradient is NaN.
     """
-    w, cache = _unit_pass(params, batch, weights, cache)
+    w = _task_weights(params, weights)
+    step = step or HeadPass(params, batch)
     trunk = []
     if params.trunk:
-        up = np.add.reduce(w[:, None, None] * cache.at_shared, axis=0)
-        trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, cache.trunk_a)
+        up = np.add.reduce(w[:, None, None] * step.at_shared, axis=0)
+        trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, step.cache.trunk_a)
     heads = []
-    for tasks, unit in zip(params.group_tasks, cache.unit):
+    for tasks, unit in zip(params.group_tasks, step.unit):
         w_g = w[list(tasks)]
         heads += [(w_g[:, None, None] * unit_w, w_g[:, None] * unit_b) for unit_w, unit_b in unit]
     grad = np.concatenate([a.ravel() for pair in trunk + heads for a in pair])
@@ -357,11 +359,11 @@ def backward(params: ModelParams, batch: Batch, weights, cache: ForwardCache | N
             for part, arr in zip(("weight", "bias"), pair):
                 if np.isnan(arr.sum()):
                     raise ValueError(f"NaN gradient in {name}.{part}")
-    return list(cache.losses), grad
+    return list(step.losses), grad
 
 
 def shared_layer_grad_norms(
-    params: ModelParams, batch: Batch, weights, cache: ForwardCache | None = None
+    params: ModelParams, batch: Batch, weights, step: HeadPass | None = None
 ) -> np.ndarray:
     """L2 norm of each task's weighted gradient at the last trunk layer.
 
@@ -370,14 +372,16 @@ def shared_layer_grad_norms(
     probe forms the K per-task pieces of that gradient, each task's weighted
     gradient at the shared activation run back through the last trunk layer;
     a norm equals that of a `backward` with only task k's weight nonzero, bit
-    for bit. A trunk-less model has no shared layer: ValueError.
+    for bit. `step` is as in `backward`. A trunk-less model has no shared
+    layer: ValueError.
     """
     if not params.trunk:
         raise ValueError("a trunk-less model has no shared layer")
-    w, cache = _unit_pass(params, batch, weights, cache)
-    scaled = w[:, None, None] * cache.at_shared
-    delta = _backprop(scaled, cache.shared, params.trunk_layers[-1][2])
-    pieces = np.matmul(cache.trunk_a[-2].T, delta)
+    w = _task_weights(params, weights)
+    step = step or HeadPass(params, batch)
+    scaled = w[:, None, None] * step.at_shared
+    last = (params.trunk[-1:], params.trunk_layers[-1:], step.cache.trunk_a[-2:])
+    [(pieces, _)], _ = _stack_backward(scaled, *last)
     # sqrt(x . x) over the flattened piece is how np.linalg.norm computes it.
     return np.sqrt([p.dot(p) for p in pieces.reshape(params.n_tasks, -1)])
 

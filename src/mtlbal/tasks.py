@@ -110,6 +110,11 @@ def data_settings(seed, input_dim, n_samples, specs, relatedness, latent_dim) ->
     )
 
 
+def train_size(n_samples: int) -> int:
+    """Rows in the train split, 80 % of the samples; the rest are the test split."""
+    return int(0.8 * n_samples)
+
+
 def generate_mtl(
     seed: int,
     input_dim: int,
@@ -154,7 +159,7 @@ def generate_mtl(
             targets.append(np.argmax(noisy, axis=1).astype(np.int64))
 
     perm = stream.permutation(n_samples)
-    n_train = int(0.8 * n_samples)
+    n_train = train_size(n_samples)
     train_index = np.sort(perm[:n_train])
     test_index = np.sort(perm[n_train:])
     return Dataset(

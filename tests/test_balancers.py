@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mtlbal.balancers import (
     BALANCER_NAMES,
     EPS_FLOOR,
+    GRADNORM_COEFF_MIN,
     Baseline,
     Dwa,
     Dwema,
@@ -299,6 +300,19 @@ class TestGradNorm:
             norms = stream.uniform(2) * 3.0
             w = gradnorm_step(state, lv(losses, t), norms)
             assert abs(w.values.sum() - 2.0) < 1e-9
+
+    def test_floor_binds_before_the_rescale(self):
+        # norms (1000, 100) with equal rates: target 550 each. Task 0's
+        # coefficient descends to 1 - 0.025 * 1000 < 0 and is clamped to the
+        # floor; task 1's rises to 1 + 0.025 * 100 = 3.5. The rescale to sum 2
+        # then takes task 0 below the floor.
+        state = self.make_state()
+        w = gradnorm_step(state, lv([1.0, 1.0], 1), np.array([1000.0, 100.0]))
+        assert w.values.sum() == pytest.approx(2.0, rel=1e-15)
+        assert w.values[0] < GRADNORM_COEFF_MIN < w.values[1]
+        scale = 2.0 / (GRADNORM_COEFF_MIN + 3.5)
+        assert w.values.tolist() == [GRADNORM_COEFF_MIN * scale, 3.5 * scale]
+        assert np.array_equal(state.coeffs, w.values)
 
     def test_update_direction_matches_finite_differences(self):
         # Oracle: central differences of the L1 objective in the coefficients,

@@ -45,7 +45,7 @@ from mtlbal.harness import (
 )
 from mtlbal.metrics import TRACE_COLUMNS, coefficient_spikiness, trace_to_text
 from mtlbal.rng import SplitMix64, derive
-from mtlbal.tasks import TaskSpec, generate_mtl
+from mtlbal.tasks import TaskSpec, generate_mtl, loss_and_grad
 
 # Small, fast settings shared by most tests here.
 FAST = dict(n_samples=300, input_dim=4, iterations=30, batch_size=16, log_cadence=5)
@@ -269,6 +269,20 @@ class TestMemoryCap:
         assert est["batch draws"] == 8 * 64 * 64
         assert est["activations"] == 8 * (64 * (32 + 8 * 128 + 8 * 33) + 1600 * (32 + 128 + 8 * 33))
 
+    @pytest.mark.parametrize("trunk", [(5,), (7, 3)])
+    @pytest.mark.parametrize("head_hidden", [(), (4,), (6, 2)])
+    @pytest.mark.parametrize("tasks", [
+        dict(scenario="celeb-mini"),
+        dict(scenario="va-mini"),
+        dict(tasks=(TaskSpec("multiclass-ce", 3), TaskSpec("regression-mse", 2))),
+    ])
+    def test_parameters_term_counts_the_reference_stack(self, trunk, head_hidden, tasks):
+        config = ExperimentConfig(**tasks, trunk=trunk, head_hidden=head_hidden, input_dim=6)
+        specs = config.resolved_tasks()
+        full = network.init_params(1, config.input_dim, trunk, head_hidden, specs)
+        stack = full.unshared(range(len(specs)))
+        assert config.memory_estimate()["parameters"] == 4 * 8 * stack.n_parameters()
+
     def test_scenario_defaults_are_far_below_the_cap(self):
         for name in SCENARIOS:
             assert sum(ExperimentConfig(scenario=name).memory_estimate().values()) < MEMORY_CAP / 50
@@ -447,15 +461,14 @@ def fresh_buffer_losses(config, data, params, balancer):
     k, out = len(data.specs), []
     for t in range(config.iterations):
         batch = data.batch(data.train_index[stream.below(data.train_index.size, config.batch_size)])
-        cache = network.forward_cache(params, batch.inputs)
-        losses = network.task_losses(params, cache, batch)
+        step = network.HeadPass(params, batch)
         norms = None
         if balancer.requires_grad_norms:
-            norms = network.shared_layer_grad_norms(params, batch, balancer.coefficients(k), cache)
-        weights = balancer.step(LossVector(losses, iteration=t), norms)
-        _, grads = network.backward(params, batch, weights.values, cache)
+            norms = network.shared_layer_grad_norms(params, batch, balancer.coefficients(k), step)
+        weights = balancer.step(LossVector(step.losses, iteration=t), norms)
+        _, grads = network.backward(params, batch, weights.values, step)
         network.adam_step(params, grads, moments, t + 1, config.lr)
-        out.append(losses)
+        out.append(step.losses)
     return out
 
 
@@ -504,6 +517,34 @@ class TestStepBuffers:
                 env=env, timeout=120, check=True,
             ).stdout
             assert trace_to_text(result.trace) + result_to_json(result) == alone
+
+
+class TestEvaluation:
+    """`evaluate_model` reads test losses from the grouped loss call; each
+    equals the one-task loss on the test split bit for bit."""
+
+    MIXED = (
+        TaskSpec("regression-mse", 2, 3.0), TaskSpec("binary-bce"),
+        TaskSpec("multiclass-ce", 4), TaskSpec("binary-bce", 1, 2.5),
+    )
+
+    @pytest.mark.parametrize("tasks", [
+        dict(scenario="celeb-mini"), dict(scenario="va-mini"), dict(tasks=MIXED),
+    ])
+    def test_test_losses_equal_per_task_losses(self, tasks):
+        config = ExperimentConfig(balancer="ema", seed=2, **tasks, **FAST)
+        data, params, balancer = setup_run(config)
+        mtlbal.harness._train(config, data, params, balancer)
+        results, _ = mtlbal.harness.evaluate_model(params, data)
+        outputs = network.forward_cache(params, data.inputs[data.test_index]).outputs
+        assert [r.name for r in results] == list(mtlbal.harness.task_names(data.specs))
+        for k, (spec, result) in enumerate(zip(data.specs, results)):
+            target = data.targets[k][data.test_index]
+            want = loss_and_grad(spec.kind, outputs[k], target, spec.loss_scale)[0]
+            assert type(result.test_loss) is float
+            assert result.test_loss == want, (k, result.test_loss, want)
+        ran = run_experiment(config).task_results
+        assert [r.test_loss for r in ran] == [r.test_loss for r in results]
 
 
 class TestSingleTask:

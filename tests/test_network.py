@@ -5,6 +5,7 @@ import pytest
 
 from mtlbal import network
 from mtlbal.network import (
+    HeadPass,
     ModelParams,
     _activate,
     _backprop,
@@ -168,6 +169,29 @@ class TestActivationOnlyRecord:
         ]
 
 
+class TestHeadPass:
+    """A step's record is built whole by its constructor; its readers
+    neither fill in nor replace any of it."""
+
+    def test_built_whole_and_left_as_it_is_by_its_readers(self):
+        params, batch, weights = random_instance(31, kinds=("regression-mse", "binary-bce"))
+        step = HeadPass(params, batch)
+        fields = dict(vars(step))
+        assert set(fields) == {"cache", "losses", "unit", "at_shared"}
+        assert all(value is not None for value in fields.values())
+        assert set(vars(step.cache)) == {"trunk_a", "group_a", "outputs"}
+        records = {name: list(value) for name, value in vars(step.cache).items()}
+        shared_layer_grad_norms(params, batch, weights, step)
+        backward(params, batch, weights, step)
+        assert all(vars(step)[name] is value for name, value in fields.items())
+        for name, value in vars(step.cache).items():
+            assert all(a is b for a, b in zip(value, records[name], strict=True))
+
+    def test_trunk_less_model_forms_no_gradient_at_its_inputs(self):
+        _, full, batch, _ = next(mixed_trunk_instances("relu", count=1))
+        assert HeadPass(full.unshared(range(3)), batch).at_shared is None
+
+
 class TestBackward:
     def test_zero_weight_silences_task(self):
         params, batch, _ = random_instance(3, kinds=("regression-mse", "binary-bce"))
@@ -300,16 +324,16 @@ class TestSharedLayerGradNorms:
 
     def test_oracle_full_backward_restricted_to_last_trunk_layer(self):
         # The probe reads the step's shared head pass; each norm equals that
-        # of a one-task backward bit for bit, and sharing the cache leaves
-        # the weighted backward unchanged.
+        # of a one-task backward bit for bit, and sharing the head pass
+        # leaves the weighted backward unchanged.
         cases = [(10, ("regression-mse", "multiclass-ce"))]
         cases += [(seed, ("regression-mse", "binary-bce", "multiclass-ce", "binary-bce"))
                   for seed in range(30, 40)]
         for seed, kinds in cases:
             params, batch, weights = random_instance(seed, kinds=kinds)
-            cache = forward_cache(params, batch.inputs)
-            norms = shared_layer_grad_norms(params, batch, weights, cache)
-            _, shared = backward(params, batch, weights, cache)
+            step = HeadPass(params, batch)
+            norms = shared_layer_grad_norms(params, batch, weights, step)
+            _, shared = backward(params, batch, weights, step)
             assert np.array_equal(shared, backward(params, batch, weights)[1])
             for k in range(len(kinds)):
                 solo = np.zeros(len(kinds))
