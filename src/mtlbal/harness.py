@@ -167,9 +167,11 @@ class ExperimentConfig:
         trunk-less stack of the single-task references (`compare`), with a
         trunk per task. Terms: its parameter vector, gradient and two Adam
         moments; the dataset's inputs and targets with the arrays that
-        generate them; one block of batch draws; and one array per layer
-        (and the inputs) for a batch of the stack and for the test split
-        under the shared model. ConfigError if a data setting is out of range.
+        generate them and the split permutation; one block of batch draws;
+        one array per layer (and the inputs) for a batch of the stack and for
+        one evaluation block under the shared model; and the test targets and
+        gathered outputs, the latter eight times for their loss's temporaries.
+        ConfigError if a data setting is out of range.
         """
         specs, latent = self.resolved_tasks(), self.data_settings()["latent_dim"]
         k, outs = len(specs), [s.output_dim for s in specs]
@@ -179,14 +181,19 @@ class ExperimentConfig:
         heads_width = sum(o for h in heads for _, o, _ in h)
         n, n_test = self.n_samples, self.n_samples - tasks.train_size(self.n_samples)
         target_width = sum(1 if s.kind == "multiclass-ce" else s.output_dim for s in specs)
-        generation = n * (latent + max(outs)) + latent * (self.input_dim + max(outs) + sum(outs))
+        # Per sample: latents, noise, one task's pre-activation and noisy targets,
+        # two lists of Python ints (8-byte slot, int of <= 32 bytes) and three index arrays.
+        generation = n * (latent + 3 * max(outs) + 2 * 5 + 3)
+        generation += latent * (self.input_dim + max(outs) + sum(outs))
+        block = n_test if n_test < EVAL_BLOCK else EVAL_BLOCK + n_test % EVAL_BLOCK
         return {
             "parameters": 8 * 4 * (k * trunk_params + head_params),
             "dataset": 8 * (n * (self.input_dim + target_width) + generation),
             "batch draws": 8 * DRAW_BLOCK * self.batch_size,
             "activations": 8 * (
                 self.batch_size * (self.input_dim + k * sum(self.trunk) + heads_width)
-                + n_test * (self.input_dim + sum(self.trunk) + heads_width)
+                + block * (self.input_dim + sum(self.trunk) + heads_width)
+                + n_test * (target_width + 8 * sum(outs))
             ),
         }
 
@@ -297,6 +304,7 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
                 if params.trunk and not math.isfinite(total):
                     raise ValueError("weighted total not finite")
                 _, grads = network.backward(params, batch, weights.values, step)
+                del step  # but not grads: README, "One step at a time"
                 if config.optimizer == "adam":
                     network.adam_step(params, grads, moments, t + 1, config.lr)
                 else:
@@ -320,19 +328,31 @@ def _train(config: ExperimentConfig, data: Dataset, params, balancer):
     return trace
 
 
+#: Test rows run forward at a time by `evaluate_model`. The remainder joins the
+#: last block: blocks of 64 rows or more round as a whole-split matmul; a few rows may not.
+EVAL_BLOCK = 256
+
+
 def evaluate_model(params, data: Dataset):
     """Per-task test metrics/losses and the composite score.
 
-    Runs with float overflow silenced: a diverged model produces non-finite
-    metrics here, which the caller turns into a NumericalAbort.
+    The test split runs forward EVAL_BLOCK rows at a time, keeping only each
+    head group's outputs, on which losses and metrics are computed. Runs with
+    float overflow silenced: a diverged model produces non-finite metrics here,
+    which the caller turns into a NumericalAbort.
     """
-    test = data.batch(data.test_index)
-    results = []
+    index, results = data.test_index, []
+    starts = [*range(0, index.size - EVAL_BLOCK + 1, EVAL_BLOCK)] or [0]
+    targets = [t.take(index, axis=0) for t in data.targets]
     with np.errstate(over="ignore", invalid="ignore"):
-        cache = network.forward_cache(params, test.inputs)
-        losses, _ = network.task_losses(params, cache, test)
+        outputs = [np.concatenate(parts, axis=1) for parts in zip(*[
+            [as_[-1] for as_ in network.forward_cache(params, data.inputs[index[lo:hi]]).group_a]
+            for lo, hi in zip(starts, starts[1:] + [index.size])
+        ])]
+        losses, _ = network.task_losses(params, outputs, targets, data.specs)
         for k, (spec, name) in enumerate(zip(data.specs, task_names(data.specs))):
-            out, target = cache.outputs[k], test.targets[k]
+            g, i = params.slots[k]
+            out, target = outputs[g][i], targets[k]
             # Composite groups: regressions pool into one mean-CCC group, binaries
             # into one mean-F1 group, and each multiclass task is its own F1 group.
             if spec.kind == "binary-bce":
@@ -403,10 +423,9 @@ def _single_task_runs(config: ExperimentConfig, data: Dataset, tasks) -> list:
     are held for one model at a time. Every result carries the joint trace,
     which for one task is that run's own.
     """
-    full = network.init_params(
+    params, data = network.init_params(  # the full model is not kept
         config.seed, config.input_dim, config.trunk, config.head_hidden, config.resolved_tasks()
-    )
-    params, data = full.unshared(tasks), _only(data, tasks)
+    ).unshared(tasks), _only(data, tasks)
     balancer = make_balancer("baseline")
     trace = _train(config, data, params, balancer)
     return [

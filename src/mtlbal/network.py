@@ -266,16 +266,16 @@ def forward_cache(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(trunk_a, group_a, [group_a[g][-1][i] for g, i in params.slots])
 
 
-def task_losses(params: ModelParams, cache: ForwardCache, batch: Batch) -> tuple:
+def task_losses(params: ModelParams, outputs, targets, specs) -> tuple:
     """Raw (unweighted) per-task losses, and each head group's stacked
-    d loss / d prediction. One loss call per head group."""
+    d loss / d prediction, given `outputs[g]`, head group g's stacked
+    predictions, and each task's targets and spec. One loss call per group."""
     losses, pred_grads = np.empty(params.n_tasks), []
-    for tasks, outputs in zip(params.group_tasks, cache.group_a):
-        specs = [batch.specs[k] for k in tasks]
-        targets = np.concatenate([batch.targets[k] for k in tasks])
-        targets = targets.reshape((len(tasks),) + np.shape(batch.targets[tasks[0]]))
-        scales = np.array([s.loss_scale for s in specs])
-        losses[list(tasks)], grad = loss_and_grad(specs[0].kind, outputs[-1], targets, scales)
+    for tasks, predictions in zip(params.group_tasks, outputs):
+        group = np.concatenate([targets[k] for k in tasks])
+        group = group.reshape((len(tasks),) + np.shape(targets[tasks[0]]))
+        scales = np.array([specs[k].loss_scale for k in tasks])
+        losses[list(tasks)], grad = loss_and_grad(specs[tasks[0]].kind, predictions, group, scales)
         pred_grads.append(grad)
     return losses, pred_grads
 
@@ -304,7 +304,8 @@ class HeadPass:
 
     def __init__(self, params: ModelParams, batch: Batch):
         self.cache = forward_cache(params, batch.inputs)
-        self.losses, pred_grads = task_losses(params, self.cache, batch)
+        outputs = [as_[-1] for as_ in self.cache.group_a]
+        self.losses, pred_grads = task_losses(params, outputs, batch.targets, batch.specs)
         self.unit, self.at_shared = [], None
         if params.trunk:
             self.at_shared = np.empty((params.n_tasks,) + self.cache.shared.shape)
@@ -337,14 +338,15 @@ def backward(params: ModelParams, batch: Batch, weights, step: HeadPass | None =
     """
     w = _task_weights(params, weights)
     step = step or HeadPass(params, batch)
+    ones = bool((w == 1.0).all())  # x * 1.0 is x bit for bit: skip the multiplies
     trunk = []
     if params.trunk:
-        up = np.add.reduce(w[:, None, None] * step.at_shared, axis=0)
+        up = np.add.reduce(step.at_shared if ones else w[:, None, None] * step.at_shared, axis=0)
         trunk, _ = _stack_backward(up, params.trunk, params.trunk_layers, step.cache.trunk_a)
     heads = []
     for tasks, unit in zip(params.group_tasks, step.unit):
         w_g = w[list(tasks)]
-        heads += [(w_g[:, None, None] * unit_w, w_g[:, None] * unit_b) for unit_w, unit_b in unit]
+        heads += unit if ones else [(w_g[:, None, None] * uw, w_g[:, None] * ub) for uw, ub in unit]
     grad = np.concatenate([a.ravel() for pair in trunk + heads for a in pair])
     # Sum-based probe: NaN anywhere poisons the sum, but so do +inf and -inf
     # in different arrays; abort only if one array's own sum is NaN. Arrays
@@ -379,9 +381,10 @@ def shared_layer_grad_norms(
         raise ValueError("a trunk-less model has no shared layer")
     w = _task_weights(params, weights)
     step = step or HeadPass(params, batch)
-    scaled = w[:, None, None] * step.at_shared
-    last = (params.trunk[-1:], params.trunk_layers[-1:], step.cache.trunk_a[-2:])
-    [(pieces, _)], _ = _stack_backward(scaled, *last)
+    # `_stack_backward`'s weight pieces on the last trunk layer, not its bias sums.
+    delta = _backprop(w[:, None, None] * step.at_shared, step.cache.trunk_a[-1],
+                      params.trunk_layers[-1][2])
+    pieces = np.matmul(step.cache.trunk_a[-2].swapaxes(-1, -2), delta)
     # sqrt(x . x) over the flattened piece is how np.linalg.norm computes it.
     return np.sqrt([p.dot(p) for p in pieces.reshape(params.n_tasks, -1)])
 
@@ -409,10 +412,11 @@ def adam_step(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m, v = moments
     m *= beta1
-    m += (1.0 - beta1) * grads
+    tmp = (1.0 - beta1) * grads  # one temporary, reused up to the denominator
+    m += tmp
     v *= beta2
-    v += (1.0 - beta2) * np.square(grads)
-    denom = np.sqrt(v / (1.0 - beta2**t))
+    v += np.multiply(np.square(grads, out=tmp), 1.0 - beta2, out=tmp)
+    denom = np.sqrt(np.divide(v, 1.0 - beta2**t, out=tmp), out=tmp)
     denom += eps
     update = m / (1.0 - beta1**t)
     update *= lr

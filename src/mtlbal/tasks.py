@@ -141,7 +141,8 @@ def generate_mtl(
     w_indep = [stream.normal((latent_dim, s.output_dim)) / np.sqrt(latent_dim) for s in specs]
     noise_block = stream.normal((n_samples, max_out))
 
-    latent = np.tanh(x @ b)
+    latent = x @ b
+    np.tanh(latent, out=latent)
     targets = []
     for spec, w_k in zip(specs, w_indep):
         w = relatedness * w_common[:, : spec.output_dim] + (1.0 - relatedness) * w_k

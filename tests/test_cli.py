@@ -175,7 +175,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("setting, term", [
         ("trunk = 200000,200000", "parameters"),
-        ("n_samples = 2000000000", "activations"),
+        ("n_samples = 2000000000", "dataset"),
         ("batch_size = 100000000\nn_samples = 1000", "activations"),
     ], ids=["trunk", "n_samples", "batch_size"])
     @pytest.mark.parametrize("command", [[], ["--methods", "baseline,ema", "--seeds", "1..2", "--jobs", "1"],

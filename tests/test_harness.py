@@ -261,13 +261,37 @@ class TestMemoryCap:
         assert peak < 64 * 1024
 
     def test_estimate_by_hand_for_celeb_mini(self):
-        # 8 tasks; trunk 32 -> 64 -> 64; heads 64 -> 32 -> 1; 1600 test rows.
+        # 8 tasks; trunk 32 -> 64 -> 64; heads 64 -> 32 -> 1; 1600 test rows,
+        # evaluated in blocks of 256 rows, the last 320. Per sample,
+        # generation holds latents (32), noise, pre-activation and noisy
+        # targets (1 each), two lists of Python ints (5 words each) and three
+        # index arrays.
         est = ExperimentConfig(scenario="celeb-mini").memory_estimate()
         trunk, head = 33 * 64 + 65 * 64, 65 * 32 + 33
         assert est["parameters"] == 32 * (8 * trunk + 8 * head)
-        assert est["dataset"] == 8 * (8000 * (32 + 8) + 8000 * (32 + 1) + 32 * (32 + 1 + 8))
+        generation = 8000 * (32 + 3 + 10 + 3) + 32 * (32 + 1 + 8)
+        assert est["dataset"] == 8 * (8000 * (32 + 8) + generation)
         assert est["batch draws"] == 8 * 64 * 64
-        assert est["activations"] == 8 * (64 * (32 + 8 * 128 + 8 * 33) + 1600 * (32 + 128 + 8 * 33))
+        assert est["activations"] == 8 * (
+            64 * (32 + 8 * 128 + 8 * 33) + 320 * (32 + 128 + 8 * 33) + 1600 * (8 + 8 * 8)
+        )
+
+    @pytest.mark.parametrize("scenario", ["celeb-mini", "va-mini"])
+    def test_estimate_bounds_the_traced_peak_of_a_run(self, scenario):
+        # At this size a run peaks while it generates the dataset, which the
+        # dataset term alone bounds.
+        config = ExperimentConfig(scenario=scenario, n_samples=64000, iterations=5)
+        estimate = config.memory_estimate()
+        peaks = []
+        for work in (lambda: generate_mtl(**config.data_settings()), lambda: run_experiment(config)):
+            tracemalloc.start()
+            try:
+                work()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= estimate["dataset"]
+        assert peaks[1] <= sum(estimate.values())
 
     @pytest.mark.parametrize("trunk", [(5,), (7, 3)])
     @pytest.mark.parametrize("head_hidden", [(), (4,), (6, 2)])
@@ -520,31 +544,55 @@ class TestStepBuffers:
 
 
 class TestEvaluation:
-    """`evaluate_model` reads test losses from the grouped loss call; each
-    equals the one-task loss on the test split bit for bit."""
+    """`evaluate_model` runs the test split forward in blocks of EVAL_BLOCK
+    rows, the remainder joined to the last block, and reads test losses from
+    the grouped loss call. Each equals the one-task loss on a forward over
+    the whole split bit for bit, and every result equals a one-block run's."""
 
     MIXED = (
         TaskSpec("regression-mse", 2, 3.0), TaskSpec("binary-bce"),
         TaskSpec("multiclass-ce", 4), TaskSpec("binary-bce", 1, 2.5),
     )
 
-    @pytest.mark.parametrize("tasks", [
-        dict(scenario="celeb-mini"), dict(scenario="va-mini"), dict(tasks=MIXED),
+    # Test splits under one block, of one block, one block plus a row, and
+    # several blocks plus a remainder.
+    @pytest.mark.parametrize("n_test", [60, 256, 257, 3 * 256 + 50])
+    @pytest.mark.parametrize("tasks, trunk_less", [
+        (dict(scenario="celeb-mini"), False), (dict(scenario="va-mini"), False),
+        (dict(tasks=MIXED), False), (dict(scenario="celeb-mini"), True),
     ])
-    def test_test_losses_equal_per_task_losses(self, tasks):
-        config = ExperimentConfig(balancer="ema", seed=2, **tasks, **FAST)
+    def test_test_losses_equal_per_task_losses(self, tasks, trunk_less, n_test, monkeypatch):
+        fast = {**FAST, "n_samples": 5 * n_test}
+        config = ExperimentConfig(balancer="ema", seed=2, **tasks, **fast)
         data, params, balancer = setup_run(config)
+        assert data.test_index.size == n_test
+        if trunk_less:  # the single-task references as one model
+            params, balancer = params.unshared(range(params.n_tasks)), make_balancer("baseline")
         mtlbal.harness._train(config, data, params, balancer)
-        results, _ = mtlbal.harness.evaluate_model(params, data)
-        outputs = network.forward_cache(params, data.inputs[data.test_index]).outputs
+        forward, rows = network.forward_cache, []
+        monkeypatch.setattr(network, "forward_cache", lambda p, x: rows.append(len(x)) or forward(p, x))
+        results, composite = mtlbal.harness.evaluate_model(params, data)
+        block = mtlbal.harness.EVAL_BLOCK
+        assert sum(rows) == n_test and len(rows) == max(n_test // block, 1)
+        assert rows[:-1] == [block] * (len(rows) - 1) and rows[-1] >= min(block, n_test)
+        monkeypatch.setattr(network, "forward_cache", forward)
+
+        outputs = forward(params, data.inputs[data.test_index]).outputs
         assert [r.name for r in results] == list(mtlbal.harness.task_names(data.specs))
         for k, (spec, result) in enumerate(zip(data.specs, results)):
             target = data.targets[k][data.test_index]
             want = loss_and_grad(spec.kind, outputs[k], target, spec.loss_scale)[0]
             assert type(result.test_loss) is float
             assert result.test_loss == want, (k, result.test_loss, want)
-        ran = run_experiment(config).task_results
-        assert [r.test_loss for r in ran] == [r.test_loss for r in results]
+        monkeypatch.setattr(mtlbal.harness, "EVAL_BLOCK", n_test)
+        assert mtlbal.harness.evaluate_model(params, data) == (results, composite)
+        monkeypatch.undo()
+        if trunk_less:
+            runs = mtlbal.harness._single_task_runs(config, data, range(len(data.specs)))
+            assert [run.task_results[0] for run in runs] == results
+        else:
+            ran = run_experiment(config)
+            assert (ran.task_results, ran.composite) == (results, composite)
 
 
 class TestSingleTask:

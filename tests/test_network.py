@@ -18,7 +18,7 @@ from mtlbal.network import (
     shared_layer_grad_norms,
 )
 from mtlbal.rng import SplitMix64
-from mtlbal.tasks import Batch, TaskSpec
+from mtlbal.tasks import Batch, TaskSpec, generate_mtl
 
 from helpers import has_relu_kink, max_fd_error, random_instance
 
@@ -308,6 +308,62 @@ class TestBackward:
             backward(params, batch, np.array([1.0, 2.0]))
 
 
+def multiply_path(params, step, w):
+    """`backward`'s gradient vector with every weight multiplied in, as it
+    was computed before all-ones weights skipped the multiplies (no NaN
+    probe)."""
+    trunk = []
+    if params.trunk:
+        up = np.add.reduce(w[:, None, None] * step.at_shared, axis=0)
+        trunk, _ = network._stack_backward(up, params.trunk, params.trunk_layers, step.cache.trunk_a)
+    heads = []
+    for tasks, unit in zip(params.group_tasks, step.unit):
+        w_g = w[list(tasks)]
+        heads += [(w_g[:, None, None] * unit_w, w_g[:, None] * unit_b) for unit_w, unit_b in unit]
+    return np.concatenate([a.ravel() for pair in trunk + heads for a in pair])
+
+
+class TestUnitWeights:
+    """With every weight exactly 1.0 (baseline, every reference run),
+    `backward` uses the unit-weight gradients as they are: x * 1.0 is x bit
+    for bit, special values included."""
+
+    def test_times_one_keeps_every_bit(self):
+        payload_nan = np.array([0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0000], dtype=np.uint64)
+        x = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e300, -1.5],
+            payload_nan.view(np.float64),
+        ])
+        assert (np.ones(3)[:, None] * x).tobytes() == np.tile(x, 3).tobytes()
+
+    @pytest.mark.parametrize("special", [-0.0, np.inf, -np.inf, np.nan])
+    def test_backward_equals_the_multiply_path(self, special):
+        # Eight tasks in three head groups, so that sums over tasks round.
+        specs = (BCE,) * 5 + (TaskSpec("regression-mse", 2, 1.5, "r2"),) * 2 + (CE3,)
+        params = init_params(3, 6, (16, 16), (8,), specs)
+        batch = generate_mtl(3, 6, 400, specs, 0.0).batch(np.arange(32))
+        step = HeadPass(params, batch)
+        ones = np.ones(params.n_tasks)
+        # Entries of the shared gradient where relu is off reach the trunk's
+        # sum and are masked after it, so any value may sit there.
+        off = step.cache.shared <= 0.0
+        assert off.any()
+        step.at_shared[:, off] = special
+        if special == special:
+            for unit in step.unit:
+                for unit_w, unit_b in unit:
+                    unit_w.reshape(-1)[::3] = special
+                    unit_b.reshape(-1)[::2] = special
+        want = multiply_path(params, step, ones)
+        assert backward(params, batch, ones, step)[1].tobytes() == want.tobytes()
+        if special != special:
+            # A NaN head gradient aborts in the same array either way.
+            step.unit[0][-1][0][0, 0, 0] = np.nan
+            assert np.isnan(params.like(multiply_path(params, step, ones)).head(0)[-1][0]).any()
+            with pytest.raises(ValueError, match=r"NaN gradient in head\[0\]\[1\]\.weight"):
+                backward(params, batch, ones, step)
+
+
 class TestSharedLayerGradNorms:
     def test_zero_weight_gives_zero_norm(self):
         params, batch, _ = random_instance(7, kinds=("regression-mse", "binary-bce"))
@@ -410,6 +466,39 @@ class TestOptimizers:
         params.like(grads).trunk[0][0][0, 0] = 0.5
         sgd_step(params, grads, 0.1)
         assert params.trunk[0][0][0, 0] == 0.95
+
+    def test_adam_equals_the_expression_with_fresh_temporaries(self):
+        def reference(vector, grads, moments, t, lr):
+            # adam_step as written before it reused one temporary.
+            beta1, beta2, eps = 0.9, 0.999, 1e-8
+            m, v = moments
+            m *= beta1
+            m += (1.0 - beta1) * grads
+            v *= beta2
+            v += (1.0 - beta2) * np.square(grads)
+            denom = np.sqrt(v / (1.0 - beta2**t))
+            denom += eps
+            update = m / (1.0 - beta1**t)
+            update *= lr
+            update /= denom
+            vector -= update
+
+        params = init_params(5, 4, (6,), (3,), (MSE, BCE))
+        want, want_moments = params.vector.copy(), init_moments(params)
+        moments = init_moments(params)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300])
+        stream = SplitMix64(11)
+        for t in range(1, 51):
+            grads = stream.normal(params.vector.shape) * 10.0 ** float(stream.below(7) - 3)
+            grads[stream.below(grads.size, special.size)] = special
+            given = grads.copy()
+            with np.errstate(over="ignore"):  # 1e300 squared is inf
+                adam_step(params, grads, moments, t, 1e-3)
+                reference(want, grads, want_moments, t, 1e-3)
+            assert grads.tobytes() == given.tobytes()
+            assert params.vector.tobytes() == want.tobytes(), t
+            assert moments.tobytes() == want_moments.tobytes(), t
+        assert np.isinf(moments[1]).any() and np.isfinite(params.vector).all()
 
     def test_adam_first_step_magnitude_near_lr(self):
         params = tiny_params([[[1.0]], [[1.0]]], ["linear", "linear"])
