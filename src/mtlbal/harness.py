@@ -181,10 +181,13 @@ class ExperimentConfig:
         heads_width = sum(o for h in heads for _, o, _ in h)
         n, n_test = self.n_samples, self.n_samples - tasks.train_size(self.n_samples)
         target_width = sum(1 if s.kind == "multiclass-ce" else s.output_dim for s in specs)
-        # Per sample: latents, noise, one task's pre-activation and noisy targets,
-        # two lists of Python ints (8-byte slot, int of <= 32 bytes) and three index arrays.
-        generation = n * (latent + 3 * max(outs) + 2 * 5 + 3)
-        generation += latent * (self.input_dim + max(outs) + sum(outs))
+        # Per sample, the most of three phases: the latents and noise beside the
+        # widest task's pre-activation or another task's and its temporary; the
+        # widest task's pre-activation, noise and temporary; the packed draws and
+        # one list of Python ints (8-byte slot, int of <= 32 bytes).
+        *_, second, widest = sorted([0] + outs)
+        generation = n * max(latent + widest + max(widest, 2 * second), 3 * widest, 1 + 5)
+        generation += latent * (self.input_dim + widest + sum(outs))
         block = n_test if n_test < EVAL_BLOCK else EVAL_BLOCK + n_test % EVAL_BLOCK
         return {
             "parameters": 8 * 4 * (k * trunk_params + head_params),

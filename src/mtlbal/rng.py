@@ -104,10 +104,14 @@ class SplitMix64:
         return int(out[0]) if count is None else out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n); its n-1 draws come in one call."""
+        """Fisher-Yates permutation of range(n); its n-1 draws come in one call
+        and stay packed in one array while the swaps run on one list."""
         bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 down to 1
-        js = (self.next_raw(bounds.size) % bounds).tolist()
+        js = self.next_raw(bounds.size)
+        js %= bounds
+        del bounds
         perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), js):
+        for i, j in zip(range(n - 1, 0, -1), memoryview(js)):
             perm[i], perm[j] = perm[j], perm[i]
+        del js
         return np.array(perm, dtype=np.int64)

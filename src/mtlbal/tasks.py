@@ -129,6 +129,13 @@ def generate_mtl(
     widest task and shared across tasks (task k reads its first output_dim
     columns), so tasks with identical specs receive identical noise, and at
     relatedness 1 their target blocks are identical before scaling.
+
+    Tasks are processed in order of output width, the widest last (ties in
+    task order), and each target is written to its task's slot. The latents
+    are freed once the widest task's pre-activation exists, and the noise
+    block before the split permutation. No stream draw moves, so each task
+    reads the same noise slice, and every value is the one that processing
+    the tasks in order with every array alive gives.
     """
     settings = data_settings(seed, input_dim, n_samples, specs, relatedness, latent_dim)
     specs, latent_dim = settings["specs"], settings["latent_dim"]
@@ -143,21 +150,25 @@ def generate_mtl(
 
     latent = x @ b
     np.tanh(latent, out=latent)
-    targets = []
-    for spec, w_k in zip(specs, w_indep):
-        w = relatedness * w_common[:, : spec.output_dim] + (1.0 - relatedness) * w_k
-        pre = latent @ w
-        sigma = NOISE_FRACTION * float(pre.std())
-        noisy = pre + sigma * noise_block[:, : spec.output_dim]
+    targets = [None] * len(specs)
+    order = sorted(enumerate(specs), key=lambda task: task[1].output_dim)
+    for k, spec in order:
+        d = spec.output_dim
+        noisy = latent @ (relatedness * w_common[:, :d] + (1.0 - relatedness) * w_indep[k])
+        if k == order[-1][0]:
+            del latent
+        noisy += NOISE_FRACTION * float(noisy.std()) * noise_block[:, :d]
         if spec.kind == "regression-mse":
             # An overflowing scale gives inf targets, and the run then ends
             # in a NumericalAbort rather than a warning here.
             with np.errstate(over="ignore"):
-                targets.append(noisy * spec.loss_scale)
+                noisy *= spec.loss_scale
         elif spec.kind == "binary-bce":
-            targets.append((noisy > 0).astype(np.float64))
+            np.greater(noisy, 0.0, out=noisy)
         else:
-            targets.append(np.argmax(noisy, axis=1).astype(np.int64))
+            noisy = np.argmax(noisy, axis=1).astype(np.int64, copy=False)
+        targets[k] = noisy
+    del noise_block
 
     perm = stream.permutation(n_samples)
     n_train = train_size(n_samples)

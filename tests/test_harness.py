@@ -263,24 +263,29 @@ class TestMemoryCap:
     def test_estimate_by_hand_for_celeb_mini(self):
         # 8 tasks; trunk 32 -> 64 -> 64; heads 64 -> 32 -> 1; 1600 test rows,
         # evaluated in blocks of 256 rows, the last 320. Per sample,
-        # generation holds latents (32), noise, pre-activation and noisy
-        # targets (1 each), two lists of Python ints (5 words each) and three
-        # index arrays.
+        # generation holds at most the latents (32) and noise (1) beside a
+        # pre-activation and its temporary (1 each); later the widest task
+        # without latents (3), or the packed draws and one list of Python
+        # ints (1 + 5).
         est = ExperimentConfig(scenario="celeb-mini").memory_estimate()
         trunk, head = 33 * 64 + 65 * 64, 65 * 32 + 33
         assert est["parameters"] == 32 * (8 * trunk + 8 * head)
-        generation = 8000 * (32 + 3 + 10 + 3) + 32 * (32 + 1 + 8)
+        generation = 8000 * (32 + 1 + 2) + 32 * (32 + 1 + 8)
         assert est["dataset"] == 8 * (8000 * (32 + 8) + generation)
         assert est["batch draws"] == 8 * 64 * 64
         assert est["activations"] == 8 * (
             64 * (32 + 8 * 128 + 8 * 33) + 320 * (32 + 128 + 8 * 33) + 1600 * (8 + 8 * 8)
         )
 
-    @pytest.mark.parametrize("scenario", ["celeb-mini", "va-mini"])
-    def test_estimate_bounds_the_traced_peak_of_a_run(self, scenario):
+    @pytest.mark.parametrize("data", [
+        dict(scenario="celeb-mini"),
+        dict(scenario="va-mini"),
+        dict(tasks=tuple(TaskSpec("multiclass-ce", 40, 1.0, f"c{i}") for i in range(3))),
+    ], ids=["celeb-mini", "va-mini", "three-ce40"])
+    def test_estimate_bounds_the_traced_peak_of_a_run(self, data):
         # At this size a run peaks while it generates the dataset, which the
         # dataset term alone bounds.
-        config = ExperimentConfig(scenario=scenario, n_samples=64000, iterations=5)
+        config = ExperimentConfig(**data, n_samples=64000, iterations=5)
         estimate = config.memory_estimate()
         peaks = []
         for work in (lambda: generate_mtl(**config.data_settings()), lambda: run_experiment(config)):

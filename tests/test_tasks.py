@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mtlbal.rng import SplitMix64
+from mtlbal.harness import SCENARIOS
+from mtlbal.rng import SplitMix64, derive
 from mtlbal.tasks import (
+    DATA_STREAM_TAG,
+    NOISE_FRACTION,
     TaskSpec,
     generate_mtl,
     loss_and_grad,
@@ -125,6 +128,83 @@ class TestGenerateMtl:
             generate_mtl(1, 4, 5, (BIN,), 0.5)
         with pytest.raises(ValueError):
             generate_mtl(1, 4, 100, (BIN,), 1.5)
+
+
+def reference_generate(seed, input_dim, n_samples, specs, relatedness, latent_dim):
+    """`generate_mtl` written with every array whole: the noise is drawn
+    before the latents, the tasks run in order, and the permutation's draws
+    and swaps are lists. Returns inputs, targets, train and test index."""
+    stream = SplitMix64(derive(seed, DATA_STREAM_TAG))
+    x = stream.normal((n_samples, input_dim))
+    b = stream.normal((input_dim, latent_dim)) / np.sqrt(input_dim)
+    max_out = max(s.output_dim for s in specs)
+    w_common = stream.normal((latent_dim, max_out)) / np.sqrt(latent_dim)
+    w_indep = [stream.normal((latent_dim, s.output_dim)) / np.sqrt(latent_dim) for s in specs]
+    noise_block = stream.normal((n_samples, max_out))
+
+    latent = np.tanh(x @ b)
+    targets = []
+    for spec, w_k in zip(specs, w_indep):
+        w = relatedness * w_common[:, : spec.output_dim] + (1.0 - relatedness) * w_k
+        pre = latent @ w
+        sigma = NOISE_FRACTION * float(pre.std())
+        noisy = pre + sigma * noise_block[:, : spec.output_dim]
+        if spec.kind == "regression-mse":
+            targets.append(noisy * spec.loss_scale)
+        elif spec.kind == "binary-bce":
+            targets.append((noisy > 0).astype(np.float64))
+        else:
+            targets.append(np.argmax(noisy, axis=1).astype(np.int64))
+
+    bounds = np.arange(n_samples, 1, -1, dtype=np.uint64)
+    js = (stream.next_raw(bounds.size) % bounds).tolist()
+    perm = list(range(n_samples))
+    for i, j in zip(range(n_samples - 1, 0, -1), js):
+        perm[i], perm[j] = perm[j], perm[i]
+    perm = np.array(perm, dtype=np.int64)
+    n_train = int(0.8 * n_samples)
+    return x, targets, np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
+def multiclass(n, classes=40):
+    return tuple(TaskSpec("multiclass-ce", classes, 1.0, f"c{i}") for i in range(n))
+
+
+#: Task sets on which generation is checked against `reference_generate`.
+GENERATION_TASKS = {
+    "celeb-mini": SCENARIOS["celeb-mini"],
+    "va-mini": SCENARIOS["va-mini"],
+    "ce40-two-regressions": multiclass(1) + (
+        TaskSpec("regression-mse", 1, 1.0, "r0"), TaskSpec("regression-mse", 1, 20.0, "r1")
+    ),
+    "three-ce40": multiclass(3),
+    "six-ce40": multiclass(6),
+    "sixteen-binary": tuple(
+        TaskSpec("binary-bce", 1, 50.0 if i == 3 else 1.0, f"b{i}") for i in range(16)
+    ),
+}
+
+
+class TestGenerationOracle:
+    """`generate_mtl` frees arrays as it goes and processes the widest task
+    last; every output is the whole-array reference's, bit for bit."""
+
+    @pytest.mark.parametrize("n_samples", [1003, 8000])
+    @pytest.mark.parametrize("relatedness", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("latent_dim", [8, 64])
+    @pytest.mark.parametrize("tasks", sorted(GENERATION_TASKS))
+    def test_matches_the_whole_array_reference(self, tasks, latent_dim, relatedness, n_samples):
+        specs = GENERATION_TASKS[tasks]
+        args = (3, 32, n_samples, specs, relatedness, latent_dim)
+        data = generate_mtl(*args)
+        x, targets, train_index, test_index = reference_generate(*args)
+        assert data.inputs.tobytes() == x.tobytes()
+        assert len(data.targets) == len(targets)
+        for got, want in zip(data.targets, targets):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert data.train_index.tobytes() == train_index.tobytes()
+        assert data.test_index.tobytes() == test_index.tobytes()
 
 
 class TestLossAndGrad:
