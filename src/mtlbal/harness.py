@@ -168,9 +168,9 @@ class ExperimentConfig:
         trunk per task. Terms: its parameter vector, gradient and two Adam
         moments; the dataset's inputs and targets with the arrays that
         generate them and the split permutation; one block of batch draws;
-        one array per layer (and the inputs) for a batch of the stack and for
-        one evaluation block under the shared model; and the test targets and
-        gathered outputs, the latter eight times for their loss's temporaries.
+        one array per layer (and the inputs) for a batch and one evaluation
+        block of the stack; and the test targets and gathered outputs, the
+        latter eight times for their loss's temporaries.
         ConfigError if a data setting is out of range.
         """
         specs, latent = self.resolved_tasks(), self.data_settings()["latent_dim"]
@@ -194,8 +194,7 @@ class ExperimentConfig:
             "dataset": 8 * (n * (self.input_dim + target_width) + generation),
             "batch draws": 8 * DRAW_BLOCK * self.batch_size,
             "activations": 8 * (
-                self.batch_size * (self.input_dim + k * sum(self.trunk) + heads_width)
-                + block * (self.input_dim + sum(self.trunk) + heads_width)
+                (self.batch_size + block) * (self.input_dim + k * sum(self.trunk) + heads_width)
                 + n_test * (target_width + 8 * sum(outs))
             ),
         }
@@ -387,9 +386,7 @@ def run_experiment(config: ExperimentConfig, data: Dataset | None = None) -> Run
     params = network.init_params(
         config.seed, config.input_dim, config.trunk, config.head_hidden, config.resolved_tasks()
     )
-    balancer = _make_balancer(config)
-    trace = _train(config, data, params, balancer)
-    return _evaluated(config, params, data, balancer, trace)
+    return _run(config, data, params, _make_balancer(config))
 
 
 def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | None = None) -> RunResult:
@@ -400,45 +397,36 @@ def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | N
     balancer is equal-weights (a single task needs no balancing). Results
     serve as per-task reference losses for normalized-spread evaluation.
     `data` is as in `run_experiment`. This is the one-task case of
-    `_single_task_runs`.
+    `_reference_run`, whose composite is that task's metric.
     """
     config.validate()
     n_tasks = len(config.resolved_tasks())
     if not 0 <= task_index < n_tasks:
         raise ConfigError(f"task index {task_index} out of range for {n_tasks} tasks")
-    return _single_task_runs(config, _dataset_for(config, data), [task_index])[0]
+    return _reference_run(config, _dataset_for(config, data), [task_index])
 
 
-def _only(data: Dataset, tasks) -> Dataset:
-    """`data` with only the listed tasks' targets and specs."""
-    return dataclasses.replace(
-        data, targets=[data.targets[k] for k in tasks], specs=tuple(data.specs[k] for k in tasks)
-    )
-
-
-def _single_task_runs(config: ExperimentConfig, data: Dataset, tasks) -> list:
-    """The single-task runs of the listed tasks, trained as one run.
+def _reference_run(config: ExperimentConfig, data: Dataset, tasks) -> RunResult:
+    """The single-task runs of the listed tasks, trained and evaluated as one run.
 
     Their one-task models are the heads of one trunk-less model
     (`ModelParams.unshared`) trained under baseline weights, so each runs
-    exactly as it would alone, and the run aborts exactly when one of them
-    would. Each is then evaluated alone, so the test split's activations
-    are held for one model at a time. Every result carries the joint trace,
-    which for one task is that run's own.
+    exactly as it would alone, bit for bit, and the run aborts exactly when
+    one of them would. Reference i's result is `task_results[i]`; the trace
+    is the joint one, which for one task is that run's own.
     """
-    params, data = network.init_params(  # the full model is not kept
+    params = network.init_params(  # the full model is not kept
         config.seed, config.input_dim, config.trunk, config.head_hidden, config.resolved_tasks()
-    ).unshared(tasks), _only(data, tasks)
-    balancer = make_balancer("baseline")
+    ).unshared(tasks)
+    data = dataclasses.replace(
+        data, targets=[data.targets[k] for k in tasks], specs=tuple(data.specs[k] for k in tasks)
+    )
+    return _run(config, data, params, make_balancer("baseline"))
+
+
+def _run(config: ExperimentConfig, data: Dataset, params, balancer) -> RunResult:
+    """Train `params` and evaluate them; NumericalAbort if a test metric is not finite."""
     trace = _train(config, data, params, balancer)
-    return [
-        _evaluated(config, params.select([i]), _only(data, [i]), balancer, trace)
-        for i in range(len(tasks))
-    ]
-
-
-def _evaluated(config: ExperimentConfig, params, data: Dataset, balancer, trace) -> RunResult:
-    """The trained model's result; NumericalAbort if a test metric is not finite."""
     task_results, composite = evaluate_model(params, data)
     if not np.isfinite([composite] + [t.test_loss for t in task_results]).all():
         message = f"non-finite test metrics after {config.iterations} iterations"
@@ -575,8 +563,8 @@ def _seed_records(seed: int, configs, specs, normalized_spread: bool, dominant) 
     reference = None
     if normalized_spread:
         try:
-            runs = _single_task_runs(seed_cfg, data, range(len(specs)))
-            refs = [run.task_results[0].test_loss for run in runs]
+            run = _reference_run(seed_cfg, data, range(len(specs)))
+            refs = [t.test_loss for t in run.task_results]
             reference = np.maximum(np.array(refs), EPS_FLOOR)
         except NumericalAbort:
             pass

@@ -171,17 +171,6 @@ class ModelParams:
         g, i = self.slots[task]
         return [(w[i], b[i]) for w, b in self.groups[g]]
 
-    def select(self, tasks) -> "ModelParams":
-        """A copy with the same trunk and only the listed tasks' heads."""
-        tasks = list(tasks)
-        out = ModelParams(self.trunk_layers, [self.head_layers[k] for k in tasks])
-        for (w, b), (src_w, src_b) in zip(out.trunk, self.trunk):
-            w[...], b[...] = src_w, src_b
-        for new_k, k in enumerate(tasks):
-            for (w, b), (src_w, src_b) in zip(out.head(new_k), self.head(k)):
-                w[...], b[...] = src_w, src_b
-        return out
-
     def unshared(self, tasks) -> "ModelParams":
         """A trunk-less copy whose head i is the trunk followed by task
         `tasks[i]`'s head: the listed tasks' one-task models side by side,

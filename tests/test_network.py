@@ -108,12 +108,21 @@ class TestForward:
         assert va.groups[1][0][0].shape == (2, 8, 4)
 
     def test_stacked_heads_match_single_heads_bitwise(self):
-        params = init_params(2, 5, (7, 6), (4,), (MSE, BCE, MSE, CE3, BCE))
+        # Each task's output is its one-task model's (the trunk, then its
+        # head), both under the shared trunk and in the trunk-less stack of
+        # all of them, which is how a seed's references are evaluated.
+        specs = (MSE, BCE, MSE, CE3, BCE)
+        params = init_params(2, 5, (7, 6), (4,), specs)
         x = np.linspace(-2.0, 2.0, 40).reshape(8, 5)
         full = forward_cache(params, x)
+        stack = forward_cache(params.unshared(range(params.n_tasks)), x)
+        # Init draws the trunk, then the heads in task order: task 0's model.
+        first = forward_cache(init_params(2, 5, (7, 6), (4,), specs[:1]), x)
+        assert full.outputs[0].tobytes() == first.outputs[0].tobytes()
         for k in range(params.n_tasks):
-            alone = forward_cache(params.select([k]), x)
-            assert np.array_equal(full.outputs[k], alone.outputs[0])
+            alone = forward_cache(params.unshared([k]), x).outputs[0].tobytes()
+            assert full.outputs[k].tobytes() == alone
+            assert stack.outputs[k].tobytes() == alone
 
 
 class TestActivationOnlyRecord:
@@ -199,8 +208,11 @@ class TestBackward:
         for w, b in params.like(grads).head(1):
             assert np.array_equal(w, np.zeros_like(w))
             assert np.array_equal(b, np.zeros_like(b))
-        # Trunk gradients equal the task-0-only pass, bit for bit.
-        alone = params.select([0])
+        # Trunk gradients equal the task-0-only pass, bit for bit. Init draws
+        # the trunk, then the heads in task order (head_hidden as in
+        # random_instance): task 0's one-task model.
+        sizes = [o for _, o, _ in params.trunk_layers]
+        alone = init_params(3, params.input_dim, sizes, [3], batch.specs[:1])
         _, only0 = backward(
             alone, Batch(batch.inputs, [batch.targets[0]], (batch.specs[0],)), np.array([1.0])
         )
@@ -372,7 +384,10 @@ class TestSharedLayerGradNorms:
 
     def test_duplicated_tasks_have_equal_norms(self):
         params, batch, _ = random_instance(8, kinds=("binary-bce",))
-        twin = params.select([0, 0])
+        sizes = [o for _, o, _ in params.trunk_layers]
+        twin = init_params(8, params.input_dim, sizes, [3], batch.specs * 2)
+        for (w, b), (w0, b0) in zip(twin.head(1), twin.head(0)):
+            w[...], b[...] = w0, b0
         twin_batch = Batch(batch.inputs, [batch.targets[0], batch.targets[0]],
                            (batch.specs[0], batch.specs[0]))
         norms = shared_layer_grad_norms(twin, twin_batch, np.array([0.7, 0.7]))
