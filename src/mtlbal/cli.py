@@ -38,10 +38,14 @@ def _parse_seeds(text: str) -> list:
 
 def _load_config(path: str) -> harness.ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return harness.parse_config(text)
+    try:  # UTF-8 whatever the locale
+        return harness.parse_config(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {line}: not UTF-8 ({exc.reason})") from exc
 
 
 def _out_dir(args, config: harness.ExperimentConfig) -> Path:
@@ -59,7 +63,7 @@ def _write(out_dir: Path, files: dict) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out_dir / name).write_text(text)
+            (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {str(out_dir)!r}: {exc}") from exc
 

@@ -253,17 +253,6 @@ def _make_balancer(config: ExperimentConfig):
     return make_balancer(config.balancer, **hyper)
 
 
-def _dataset_for(config: ExperimentConfig, data: Dataset | None) -> Dataset:
-    """`data` if it is the dataset `config` generates (its settings match),
-    a fresh one if it is None; ConfigError otherwise."""
-    settings = config.data_settings()
-    if data is None:
-        return generate_mtl(**settings)
-    if data.settings != settings:
-        raise ConfigError("data was not generated from this config's seed and data settings")
-    return data
-
-
 #: Training steps whose batch indices are drawn in one call.
 DRAW_BLOCK = 64
 
@@ -372,38 +361,40 @@ def evaluate_model(params, data: Dataset):
     return results, composite
 
 
-def run_experiment(config: ExperimentConfig, data: Dataset | None = None) -> RunResult:
+def run_experiment(config: ExperimentConfig) -> RunResult:
     """Train with the configured balancer and evaluate on the test split.
 
     Bitwise deterministic in (config, seed). Raises NumericalAbort with the
     offending iteration and a balancer snapshot if the total loss leaves the
-    finite range. `data`, if given, must be the dataset this config generates
-    (ConfigError otherwise); `compare` passes it to share one dataset across
-    a seed's runs.
+    finite range.
     """
     config.validate()
-    data = _dataset_for(config, data)
-    params = network.init_params(
-        config.seed, config.input_dim, config.trunk, config.head_hidden, config.resolved_tasks()
-    )
-    return _run(config, data, params, _make_balancer(config))
+    return _method_run(config, generate_mtl(**config.data_settings()))
 
 
-def run_single_task(config: ExperimentConfig, task_index: int, data: Dataset | None = None) -> RunResult:
+def run_single_task(config: ExperimentConfig, task_index: int) -> RunResult:
     """Train the one-task model: a copy of the trunk followed by head k.
 
     The dataset and the full-model init come from the same seed streams as
     the multi-task run, so trunk and head k start from identical values; the
     balancer is equal-weights (a single task needs no balancing). Results
     serve as per-task reference losses for normalized-spread evaluation.
-    `data` is as in `run_experiment`. This is the one-task case of
-    `_reference_run`, whose composite is that task's metric.
+    This is the one-task case of `_reference_run`, whose composite is that
+    task's metric.
     """
     config.validate()
     n_tasks = len(config.resolved_tasks())
     if not 0 <= task_index < n_tasks:
         raise ConfigError(f"task index {task_index} out of range for {n_tasks} tasks")
-    return _reference_run(config, _dataset_for(config, data), [task_index])
+    return _reference_run(config, generate_mtl(**config.data_settings()), [task_index])
+
+
+def _method_run(config: ExperimentConfig, data: Dataset) -> RunResult:
+    """`config`'s model trained under its balancer on `data`, its dataset."""
+    params = network.init_params(
+        config.seed, config.input_dim, config.trunk, config.head_hidden, config.resolved_tasks()
+    )
+    return _run(config, data, params, _make_balancer(config))
 
 
 def _reference_run(config: ExperimentConfig, data: Dataset, tasks) -> RunResult:
@@ -520,7 +511,7 @@ def _dominant_index(specs) -> int | None:
 def _record(config: ExperimentConfig, data: Dataset, reference, dominant) -> RunRecord:
     """One comparison cell: run, then normalize by the references if any."""
     try:
-        result = run_experiment(config, data)
+        result = _method_run(config, data)
     except NumericalAbort as exc:
         return RunRecord(method=config.label, seed=config.seed, status="failed", error=str(exc))
     losses = np.array([t.test_loss for t in result.task_results])
@@ -553,13 +544,13 @@ def usable_cores() -> int:
 def _seed_records(seed: int, configs, specs, normalized_spread: bool, dominant) -> list:
     """One seed's comparison cells, in config order.
 
-    The seed's dataset is generated once and shared by its single-task
-    references and every method; the references train as one run. They
-    follow the failed-run policy: a seed where any reference aborts has no
-    spread statistics.
+    `compare` has validated the configs and the seed. The seed's dataset is
+    generated once and handed to the references, which train as one run,
+    and to each method's run. The references follow the failed-run policy:
+    a seed where any reference aborts has no spread statistics.
     """
     seed_cfg = dataclasses.replace(configs[0], seed=seed)
-    data = _dataset_for(seed_cfg, None)
+    data = generate_mtl(**seed_cfg.data_settings())
     reference = None
     if normalized_spread:
         try:
@@ -780,9 +771,10 @@ _FIELD_CODECS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse key = value config text; unknown keys are rejected."""
+    """Parse key = value config text, one setting per LF-ended line; unknown
+    keys are rejected."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

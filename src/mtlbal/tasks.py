@@ -10,8 +10,8 @@ targets are the argmax column.
 
 Everything is drawn from one splitmix64 stream in a fixed, documented order
 (inputs, B, W_common, each W_indep, noise, split permutation), so a Dataset
-is a pure function of its arguments, which `data_settings` checks and a
-Dataset keeps as its `settings`. Datasets are immutable and freely shareable.
+is a pure function of its arguments, which `data_settings` checks. Datasets
+are immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ class TaskSpec:
             raise ValueError("multiclass-ce needs output_dim >= 2")
         if not (np.isfinite(self.loss_scale) and self.loss_scale > 0):
             raise ValueError(f"loss_scale must be positive, got {self.loss_scale}")
-        bad = set(self.name) & set(":;,= \t\n")
-        if bad:
-            raise ValueError(f"task name {self.name!r} contains reserved characters {bad}")
+        # Printable ASCII but for the space and the task list's separators, so
+        # that the bytes a name writes do not depend on the locale.
+        if not all("!" <= c <= "~" and c not in ":;,=" for c in self.name):
+            raise ValueError(f"task name {self.name!a}: printable ASCII only, no reserved ' :;,='")
 
 
 class Batch(NamedTuple):
@@ -67,14 +68,13 @@ class Batch(NamedTuple):
 
 @dataclass
 class Dataset:
-    """Inputs/targets for K tasks, a train/test index split, and their `settings`."""
+    """Inputs/targets for K tasks and a train/test index split."""
 
     inputs: np.ndarray
     targets: list
     train_index: np.ndarray
     test_index: np.ndarray
     specs: tuple
-    settings: dict
 
     def batch(self, index: np.ndarray) -> Batch:
         """The rows listed in the integer array `index`."""
@@ -180,7 +180,6 @@ def generate_mtl(
         train_index=train_index,
         test_index=test_index,
         specs=specs,
-        settings=settings,
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, determinism, exit codes."""
 
+import codecs
 import concurrent.futures
 import contextlib
 import io
@@ -456,6 +457,69 @@ class TestHeapReuse:
         assert max(per_step.values()) < 10, per_step
 
 
+#: The environments whose output bytes must agree: UTF-8 mode, and the C
+#: locale with its coercion and UTF-8 mode off, where the locale is ASCII.
+LOCALES = {
+    "utf-8": {"PYTHONUTF8": "1"},
+    "C": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+}
+
+
+def run_cli_bytes(args, cwd, locale):
+    """Run the CLI in a fresh process under one of LOCALES; returns the exit
+    code, stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]), **LOCALES[locale])
+    done = subprocess.run([sys.executable, "-m", "mtlbal.cli", *args], capture_output=True,
+                          env=env, timeout=120, cwd=cwd)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestLocale:
+    """Config bytes are read as UTF-8 and every byte written is the same
+    whatever the locale; a config that is not UTF-8 is a config error."""
+
+    def test_the_c_locale_is_ascii(self):
+        env = dict(os.environ, **LOCALES["C"])
+        code = "import locale, sys; print(locale.getpreferredencoding(), sys.stdout.encoding)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout.split()
+        assert [codecs.lookup(name).name for name in out] == ["ascii", "ascii"]
+
+    @pytest.mark.parametrize("locale", sorted(LOCALES))
+    def test_config_byte_ff_exits_one_naming_the_line(self, tmp_path, locale):
+        (tmp_path / "exp.cfg").write_bytes(FAST_CONFIG.encode() + b"name = \xff\n")
+        code, out, err = run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, locale)
+        assert (code, out) == (1, b"")
+        assert err == b"config error: line 9: not UTF-8 (invalid start byte)\n"
+
+    def test_non_ascii_task_name_exits_one_with_one_line(self, tmp_path):
+        config = FAST_CONFIG.replace("scenario = celeb-mini", "tasks = binary-bce:1:1:caf\u00e9")
+        (tmp_path / "exp.cfg").write_bytes(config.encode())
+        outcomes = {locale: run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, locale)
+                    for locale in LOCALES}
+        code, out, err = outcomes["C"]
+        assert outcomes["utf-8"] == outcomes["C"]
+        assert (code, out) == (1, b"")
+        assert err.startswith(b"config error: line 1: bad value for 'tasks': task name 'caf\\xe9'")
+        assert err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["single-task", "--task", "1"],
+        ["compare", "--methods", "baseline,ema", "--seeds", "1..2", "--jobs", "1"],
+    ])
+    def test_outputs_are_the_same_bytes_under_both_locales(self, tmp_path, argv):
+        (tmp_path / "exp.cfg").write_bytes(("# caf\u00e9\n" + FAST_CONFIG).encode())
+        outputs = []
+        for locale in LOCALES:
+            cwd = tmp_path / locale  # the same relative --out, since `run` prints it
+            cwd.mkdir()
+            outcome = run_cli_bytes([*argv, "--config", "../exp.cfg", "--out", "out"], cwd, locale)
+            outputs.append((outcome, {p.name: p.read_bytes() for p in sorted(cwd.glob("out/*"))}))
+        (code, _, err), files = outputs[0]
+        assert (code, err) == (0, b"")
+        assert files and outputs[1] == outputs[0]
+
+
 #: Loss scales from the smallest subnormal to near the largest double.
 SCALES = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1e308]),
@@ -475,6 +539,27 @@ class TestOutcomeContract:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
         return code, err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=40),
+        st.tuples(st.sampled_from([b"", b"# "]), st.binary(max_size=12)).map(
+            lambda parts: b"".join(parts) + b"\n" + FAST_CONFIG.encode()
+        ),
+    ))
+    @example(raw=b"\xff")
+    @example(raw=b"# caf\xc3\xa9 \xe2\x80\xa8 \xc2\x85\n" + FAST_CONFIG.encode())
+    @example(raw=FAST_CONFIG.encode() + b"\xc3\n")
+    def test_any_config_bytes_exit_zero_one_or_two(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "exp.cfg").write_bytes(raw)
+            code, err = self.invoke(["run", "--config", str(tmp / "exp.cfg"), "--out", str(tmp)])
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("config error:") and err.count("\n") == 1
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtlbal.harness
@@ -170,6 +170,46 @@ class TestConfig:
         )
         assert parse_config(config_to_text(inline)) == inline
 
+    def test_lines_end_at_newline_alone(self):
+        # str.splitlines also breaks at \x0c, \x85 and \u2028, so a comment
+        # holding one would end there.
+        text = "# a\x0cb\x85c\u2028scenario = va-mini\nscenario = celeb-mini\r\n"
+        assert parse_config(text).scenario == "celeb-mini"
+
+    # Names holding a character that str.splitlines breaks at: \x85, \x0c, \u2028.
+    @pytest.mark.parametrize("name", ["a\x85b", "a\x0cb", "a\u2028b", "caf\u00e9", "a b", "a=b"])
+    def test_task_names_are_printable_ascii(self, name):
+        with pytest.raises(ValueError, match="printable ASCII"):
+            TaskSpec("binary-bce", 1, 1.0, name)
+        with pytest.raises(ConfigError, match="printable ASCII"):
+            parse_config(f"tasks = binary-bce:1:1:{name}; binary-bce:1:1:b\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(st.tuples(
+        st.sampled_from(["regression-mse", "binary-bce", "multiclass-ce"]),
+        st.integers(1, 4),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.one_of(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)), st.text()),
+    ), min_size=1, max_size=3))
+    @example(specs=[("binary-bce", 1, 1.0, "a\x85b")])
+    @example(specs=[("regression-mse", 2, 3.0, "a\x0cb"), ("binary-bce", 1, 1.0, "")])
+    @example(specs=[("multiclass-ce", 3, 0.5, "a\u2028b")])
+    def test_every_task_spec_tuple_round_trips(self, specs):
+        """Every tuple of TaskSpecs that constructs, and that `validate`
+        accepts, parses back from its `config_to_text`."""
+        try:
+            tasks = tuple(TaskSpec(*spec) for spec in specs)
+        except ValueError:
+            return
+        cfg = fast_config(scenario=None, tasks=tasks)
+        try:
+            cfg.validate()
+        except ConfigError:  # duplicate task labels
+            with pytest.raises(ConfigError):
+                parse_config(config_to_text(cfg))
+            return
+        assert parse_config(config_to_text(cfg)) == cfg
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_mutated_config_raises_only_config_error(self, data):
@@ -318,6 +358,33 @@ class TestMemoryCap:
         stack = full.unshared(range(len(specs)))
         assert config.memory_estimate()["parameters"] == 4 * 8 * stack.n_parameters()
 
+    def test_readme_states_the_default_sums_and_the_largest_sizes(self):
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        sums, largest = [], []
+        for name in ("celeb-mini", "va-mini"):
+            terms = {k: v / 2**20 for k, v in ExperimentConfig(scenario=name).memory_estimate().items()}
+            parts = [f"{terms['parameters']:.1f}", f"{terms['dataset']:.1f}",
+                     f"{terms['batch draws']:.2f}", f"{terms['activations']:.1f}"]
+            sums.append((f"{sum(terms.values()):.1f}", parts))
+            lo, hi = 80, 2**40  # the largest n_samples that validates lies in [lo, hi)
+            assert self.validates(ExperimentConfig(scenario=name, n_samples=lo))
+            assert not self.validates(ExperimentConfig(scenario=name, n_samples=hi))
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                ok = self.validates(ExperimentConfig(scenario=name, n_samples=mid))
+                lo, hi = (mid, hi) if ok else (lo, mid)
+            largest.append(lo)
+        (celeb, (p, d, b, a)), (va, va_parts) = sums
+        assert (
+            f"At the defaults they sum to {celeb} MiB for celeb-mini ({p} parameters, {d} "
+            f"dataset, {b} batch draws, {a} activations) and {va} MiB for va-mini "
+            f"({', '.join(va_parts)})."
+        ) in readme
+        assert (
+            f"accepts at otherwise default settings is {largest[0]:,} for celeb-mini and "
+            f"{largest[1]:,} for va-mini."
+        ) in readme
+
     def test_scenario_defaults_are_far_below_the_cap(self):
         for name in SCENARIOS:
             assert sum(ExperimentConfig(scenario=name).memory_estimate().values()) < MEMORY_CAP / 50
@@ -369,7 +436,7 @@ class TestBalancerRulesHaveOneHome:
 
 class TestDataRulesHaveOneHome:
     """The config accepts a data setting exactly when `generate_mtl` does, and
-    `data=` is checked against the settings with latent_dim resolved."""
+    its data settings resolve latent_dim."""
 
     @staticmethod
     def generation_args(cfg):
@@ -404,9 +471,11 @@ class TestDataRulesHaveOneHome:
     def test_default_latent_dim_is_input_dim(self):
         cfg = fast_config(iterations=0)
         assert cfg.latent_dim is None
+        assert cfg.data_settings()["latent_dim"] == cfg.input_dim
         data = generate_mtl(**{**self.generation_args(cfg), "latent_dim": cfg.input_dim})
-        assert data.settings == cfg.data_settings()
-        assert run_experiment(cfg, data).composite == run_experiment(cfg).composite
+        resolved = generate_mtl(**cfg.data_settings())
+        for got, want in zip([data.inputs, *data.targets], [resolved.inputs, *resolved.targets]):
+            assert np.array_equal(got, want)
 
 
 class TestRunExperiment:
@@ -602,7 +671,7 @@ class TestEvaluation:
             joint = mtlbal.harness._reference_run(config, data, range(len(data.specs)))
             assert (joint.task_results, joint.composite) == (results, composite)
             for k, result in enumerate(results):
-                assert run_single_task(config, k, data).task_results == [result]
+                assert run_single_task(config, k).task_results == [result]
         else:
             ran = run_experiment(config)
             assert (ran.task_results, ran.composite) == (results, composite)
@@ -629,20 +698,6 @@ class TestSingleTask:
         a = run_single_task(fast_config(), 2)
         b = run_single_task(fast_config(), 2)
         assert a.task_results[0].test_loss == b.task_results[0].test_loss
-
-    def test_data_from_other_settings_rejected(self):
-        cfg = fast_config()
-        fields = dict(seed=cfg.seed, input_dim=cfg.input_dim, n_samples=cfg.n_samples,
-                      specs=cfg.resolved_tasks(), relatedness=cfg.relatedness)
-        for change in (dict(seed=cfg.seed + 1), dict(relatedness=0.5), dict(latent_dim=2)):
-            data = generate_mtl(**{**fields, **change})
-            with pytest.raises(ConfigError, match="data"):
-                run_experiment(cfg, data)
-            with pytest.raises(ConfigError, match="data"):
-                run_single_task(cfg, 0, data)
-        assert run_single_task(cfg, 0, generate_mtl(**fields)).composite == (
-            run_single_task(cfg, 0).composite
-        )
 
 
 def assert_records_match_independent_runs(report, configs, dominant):
@@ -775,7 +830,7 @@ class TestCompare:
         with pytest.raises(NumericalAbort) as alone:
             run_single_task(DIVERGENT, 0)
         run_single_task(DIVERGENT, 1)
-        data = mtlbal.harness._dataset_for(DIVERGENT, None)
+        data = generate_mtl(**DIVERGENT.data_settings())
         with pytest.raises(NumericalAbort) as joint:
             mtlbal.harness._reference_run(DIVERGENT, data, [0, 1])
         assert joint.value.iteration == alone.value.iteration
@@ -797,7 +852,7 @@ class TestCompare:
             seed=1,
             **{**FAST, "iterations": 5, "log_cadence": 1},
         )
-        data = mtlbal.harness._dataset_for(cfg, None)
+        data = generate_mtl(**cfg.data_settings())
         joint = mtlbal.harness._reference_run(cfg, data, [0, 1])
         assert joint.trace.rows[0]["weighted_total"] == np.inf
         alone = [run_single_task(cfg, k).task_results[0] for k in range(2)]
