@@ -49,12 +49,20 @@ def _load_config(path: str) -> harness.ExperimentConfig:
 
 
 def _out_dir(args, config: harness.ExperimentConfig) -> Path:
-    """The output directory, checked before any training: its nearest
-    existing ancestor must be a directory this process can write to."""
+    """The output directory, checked before any training: the file system
+    encoding must hold its name, and its nearest existing ancestor must be
+    a directory this process can write to."""
     out_dir = Path(args.out or config.out_dir)
+    try:  # Path.exists reads a name it cannot encode as missing
+        os.fsencode(out_dir)
+    except UnicodeEncodeError as exc:
+        raise ConfigError(
+            f"cannot write output directory {str(out_dir)!a}: the file system encoding "
+            f"{exc.encoding!r} cannot hold its name"
+        ) from None
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
-        raise ConfigError(f"cannot write output directory {str(out_dir)!r}")
+        raise ConfigError(f"cannot write output directory {str(out_dir)!a}")
     return out_dir
 
 
@@ -65,7 +73,7 @@ def _write(out_dir: Path, files: dict) -> None:
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write output directory {str(out_dir)!r}: {exc}") from exc
+        raise ConfigError(f"cannot write output directory {str(out_dir)!a}: {exc}") from exc
 
 
 def _cmd_run(args) -> int:

@@ -16,6 +16,8 @@ import dataclasses
 import json
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,19 +128,19 @@ class ExperimentConfig:
         # Range checks are written so that NaN fails them.
         _check_seed(self.seed)
         if self.balancer not in BALANCER_NAMES:
-            raise ConfigError(f"balancer must be one of {BALANCER_NAMES}, got {self.balancer!r}")
+            raise ConfigError(f"balancer must be one of {BALANCER_NAMES}, got {self.balancer!a}")
         if bool(self.scenario) == bool(self.tasks):
             raise ConfigError("exactly one of 'scenario' or 'tasks' must be set")
         if self.scenario is not None and self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; have {sorted(SCENARIOS)}")
+            raise ConfigError(f"unknown scenario {self.scenario!a}; have {sorted(SCENARIOS)}")
         for key, hyper in _BALANCER_FIELDS.items():
             valid, wanted = _VALID[hyper]
             if not valid(getattr(self, key)):
-                raise ConfigError(f"{key} must be {wanted}, got {getattr(self, key)!r}")
+                raise ConfigError(f"{key} must be {wanted}, got {getattr(self, key)!a}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!a}")
         if self.iterations < 0:
             raise ConfigError("iterations must be nonnegative")
         if self.batch_size < 1 or self.log_cadence < 1:
@@ -564,53 +566,94 @@ def _seed_records(seed: int, configs, specs, normalized_spread: bool, dominant) 
     ]
 
 
-def _worker_init() -> None:
-    """Set up a spawned worker: ignore Ctrl-C, since the parent stops its
-    workers itself, and exit as soon as the parent process is gone."""
-    import multiprocessing.connection
-    import signal
-    import threading
+#: What a seed worker runs: a fresh interpreter that ignores Ctrl-C (its
+#: parent stops it), takes its parent's `sys.path` from stdin and enters
+#: `_worker_main`. The script that called `compare` is not imported again.
+_WORKER_CODE = (
+    "import signal; signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+    "import pickle, sys; sys.path[:] = pickle.load(sys.stdin.buffer)\n"
+    "from mtlbal.harness import _worker_main; _worker_main()\n"
+)
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    sentinel = multiprocessing.parent_process().sentinel
+
+def _worker_main() -> None:
+    """A seed worker's body: read its seeds and the `_seed_records`
+    arguments from stdin, then pickle back (cells, None), or (exception,
+    traceback), on the stdout it started with. What it prints goes to
+    stderr, so nothing else reaches that channel. It exits once stdin
+    reaches EOF, which happens when its parent is gone."""
+    import threading
+    import traceback
+
+    channel = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    seeds, args = pickle.load(sys.stdin.buffer)
 
     def exit_with_parent():
-        multiprocessing.connection.wait([sentinel])
+        while os.read(0, 4096):
+            pass
         os._exit(1)
 
     threading.Thread(target=exit_with_parent, daemon=True).start()
+    try:
+        reply = [_seed_records(seed, *args) for seed in seeds], None
+    except Exception as exc:
+        reply = exc, traceback.format_exc()
+    with channel:
+        pickle.dump(reply, channel)
+
+
+def _worker_cells(proc, seeds: list) -> dict:
+    """A worker's cells by seed, read to the end of its reply and reaped.
+    Its exception is raised here, and so is an exit status other than 0."""
+    raw = proc.stdout.read()
+    status = proc.wait()
+    if status != 0:
+        raise RuntimeError(f"the worker running seeds {seeds} exited with status {status}")
+    result, trace = pickle.loads(raw)
+    if trace is not None:
+        raise result from RuntimeError(f"in the worker running seeds {seeds}:\n{trace}")
+    return dict(zip(seeds, result))
 
 
 def _parallel_seed_records(seeds: list, processes: int, args: tuple) -> dict:
     """Each seed's cells: this process runs seeds[0::processes] itself while
-    `processes - 1` spawned workers run the rest."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    worker w (1 <= w < processes) runs seeds[w::processes]."""
+    import subprocess
 
-    # spawn, not fork: a fork taken after BLAS has started threads can hang.
-    pool = ProcessPoolExecutor(
-        processes - 1, mp_context=multiprocessing.get_context("spawn"), initializer=_worker_init
-    )
+    # A fresh interpreter under this one's flags, not a fork: a fork taken
+    # after BLAS has started its threads can hang.
+    command = [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", _WORKER_CODE]
+    workers = []
+    cells = {}
     try:
-        own = seeds[::processes]
-        futures = {s: pool.submit(_seed_records, s, *args) for s in seeds if s not in own}
-        cells = {}
-        for s in own:
-            # A finished worker's error (say, a broken pool) is raised now,
-            # not after this process has trained all of its own seeds.
-            for future in futures.values():
-                if future.done():
-                    future.result()
-            cells[s] = _seed_records(s, *args)
-        cells.update((s, future.result()) for s, future in futures.items())
+        for w in range(1, processes):
+            part = seeds[w::processes]
+            proc = subprocess.Popen(
+                command, bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+            )
+            workers.append((proc, part))
+            proc.stdin.write(pickle.dumps(sys.path) + pickle.dumps((part, args)))
+        running = list(workers)
+        for seed in seeds[::processes]:
+            # A finished worker's error is raised now, not after this
+            # process has trained all of its own seeds.
+            for worker in [w for w in running if w[0].poll() is not None]:
+                running.remove(worker)
+                cells.update(_worker_cells(*worker))
+            cells[seed] = _seed_records(seed, *args)
+        for worker in running:
+            cells.update(_worker_cells(*worker))
     except BaseException:
-        # Ctrl-C or a failure: stop the workers now rather than after their
-        # current seed (Python 3.14 has pool.terminate_workers for this).
-        for proc in list(pool._processes.values()):
-            proc.terminate()
+        # Ctrl-C or a failure: stop the workers now, not after their seeds.
+        for proc, _ in workers:
+            proc.kill()
         raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for proc, _ in workers:
+            proc.wait()
+            proc.stdout.close()
+            proc.stdin.close()
     return cells
 
 
@@ -625,8 +668,9 @@ def compare(configs, seeds, normalized_spread: bool = True, jobs: int = 1) -> Co
     that aborts numerically is marked failed and the comparison proceeds.
 
     Seeds run in min(jobs, usable cores, seeds) processes: this one plus
-    spawned workers, so a script calling this with jobs > 1 needs an
-    `if __name__ == "__main__":` guard. The report does not depend on `jobs`.
+    workers that are fresh interpreters importing mtlbal from this
+    process's `sys.path`, so a calling script needs no `__main__` guard.
+    The report does not depend on `jobs`.
     """
     configs = list(configs)
     seeds = list(seeds)
@@ -772,24 +816,26 @@ _FIELD_CODECS = {
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key = value config text, one setting per LF-ended line; unknown
-    keys are rejected."""
+    keys are rejected. Messages quote the text in ASCII escapes, so their
+    bytes do not depend on the locale."""
     values: dict = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!a}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {key!a}")
         if key not in _FIELD_CODECS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown config key {key!a}")
         try:
             values[key] = _FIELD_CODECS[key][0](val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        except ValueError as exc:  # its text may quote the value
+            detail = str(exc).encode("ascii", "backslashreplace").decode()
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {detail}") from exc
     config = ExperimentConfig(**values)
     config.validate()
     return config

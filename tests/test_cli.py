@@ -290,9 +290,9 @@ class TestCompareCommand:
             except OSError:
                 return False
 
-        def worker():
+        def worker():  # started as `python -c "...; _worker_main()"`
             for pid in children.read_text().split():
-                if "spawn_main" in Path(f"/proc/{pid}/cmdline").read_text():
+                if "_worker_main" in Path(f"/proc/{pid}/cmdline").read_text():
                     return pid
             return None
 
@@ -519,6 +519,44 @@ class TestLocale:
         assert (code, err) == (0, b"")
         assert files and outputs[1] == outputs[0]
 
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["compare", "--methods", "baseline", "--seeds", "1", "--no-spread"],
+    ])
+    def test_an_output_directory_the_c_locale_cannot_name_exits_one(self, tmp_path, argv):
+        # This config aborts at its first step, so exit 1 from `run` shows
+        # that nothing trained.
+        config = NONFINITE_CONFIG + "out_dir = d\u00e9j\u00e0\n"
+        (tmp_path / "exp.cfg").write_bytes(config.encode())
+        code, out, err = run_cli_bytes([*argv, "--config", "exp.cfg"], tmp_path, "C")
+        assert (code, out) == (1, b"")
+        assert err == (b"config error: cannot write output directory 'd\\xe9j\\xe0': "
+                       b"the file system encoding 'ascii' cannot hold its name\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize("old, new", [
+        ("seed = 2", "seed = 2\ncaf\u00e9 = 1"),
+        ("seed = 2", "seed = 2\ncaf\u00e9"),
+        ("iterations = 20", "iterations = caf\u00e9"),
+        ("balancer = ema", "balancer = caf\u00e9"),
+        ("optimizer = adam", "optimizer = caf\u00e9"),
+        ("scenario = celeb-mini", "scenario = caf\u00e9"),
+        ("scenario = celeb-mini", "tasks = binary-bce:1:1:a; caf\u00e9"),
+        ("scenario = celeb-mini", "tasks = caf\u00e9:1:1:a"),
+        ("scenario = celeb-mini", "tasks = binary-bce:1:caf\u00e9:a"),
+        ("input_dim = 4", "trunk = 8,caf\u00e9"),
+    ], ids=["unknown-key", "no-equals", "int", "balancer", "optimizer",
+            "scenario", "spec", "kind", "float", "sizes"])
+    def test_a_rejected_config_gives_the_same_stderr_under_both_locales(self, tmp_path, old, new):
+        config = (FAST_CONFIG + "optimizer = adam\n").replace(old, new)
+        (tmp_path / "exp.cfg").write_bytes(config.encode())
+        outcomes = {locale: run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, locale)
+                    for locale in LOCALES}
+        code, out, err = outcomes["C"]
+        assert outcomes["utf-8"] == outcomes["C"]
+        assert (code, out) == (1, b"")
+        assert err.startswith(b"config error: ") and err.count(b"\n") == 1
+        assert b"caf\\xe9" in err and err.isascii()
 
 #: Loss scales from the smallest subnormal to near the largest double.
 SCALES = st.one_of(

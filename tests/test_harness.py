@@ -1,9 +1,9 @@
 """Harness contracts: config schema, determinism, comparisons, failure policy."""
 
-import concurrent.futures
 import dataclasses
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -891,8 +891,8 @@ class TestCompare:
 
 
 class TestParallelCompare:
-    """Seeds split between this process and one spawned worker (two processes
-    at most) give the serial report bit for bit."""
+    """Seeds split between this process and worker interpreters (one worker
+    on two usable cores) give the serial report bit for bit."""
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
@@ -926,54 +926,85 @@ class TestParallelCompare:
             serial.to_table_text()
         )
 
-    def test_process_count_is_capped(self, monkeypatch):
-        pools = []
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The workers `compare` starts, in order."""
+        workers = []
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kw):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kw)
+        class Recording(subprocess.Popen):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                workers.append(self)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        return workers
+
+    def test_process_count_is_capped(self, monkeypatch, started):
         configs = [fast_config(iterations=5)]
         serial = compare(configs, [1, 2, 3], normalized_spread=False)
         # Two usable cores: one worker besides this process, whatever `jobs` asks.
         capped = compare(configs, [1, 2, 3], normalized_spread=False, jobs=8)
-        assert pools == [1]
+        assert len(started) == 1
         assert capped.to_table_text() == serial.to_table_text()
         compare(configs, [1], normalized_spread=False, jobs=8)  # one seed
         monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 1)
         compare(configs, [1, 2], normalized_spread=False, jobs=8)  # one core
-        assert pools == [1]
+        assert len(started) == 1
+        assert started[0].returncode == 0
 
-    @pytest.mark.skipif(mtlbal.harness.usable_cores() < 2, reason="needs 2 usable cores")
-    def test_broken_pool_stops_the_parent_early(self, tmp_path):
-        # No __main__ guard: the spawned worker re-runs the script, fails to
-        # start a pool of its own, and breaks the parent's pool.
+    def test_an_unguarded_script_needs_no_pythonpath(self, tmp_path):
+        # The script puts src on sys.path itself and has no __main__ guard;
+        # the worker imports mtlbal from that path and not the script.
         script = tmp_path / "unguarded.py"
         script.write_text(
-            "import multiprocessing, time\n"
+            "import subprocess, sys\n"
+            f"sys.path.insert(0, {str(Path(mtlbal.__file__).parents[1])!r})\n"
             "from mtlbal import ExperimentConfig, harness\n"
-            "own_seed = harness._seed_records\n"
-            "def slow_seed(seed, *args):\n"
-            "    if multiprocessing.parent_process() is None:\n"
-            "        print('parent starts seed', seed, flush=True)\n"
-            "    time.sleep(2.0)\n"
-            "    return own_seed(seed, *args)\n"
-            "harness._seed_records = slow_seed\n"
+            "print('script runs', flush=True)\n"
+            "harness.usable_cores = lambda: 2\n"
+            "started = []\n"
+            "class Recording(subprocess.Popen):\n"
+            "    def __init__(self, *args, **kw):\n"
+            "        started.append(args)\n"
+            "        super().__init__(*args, **kw)\n"
+            "subprocess.Popen = Recording\n"
             "config = ExperimentConfig(scenario='celeb-mini', n_samples=300, input_dim=4,\n"
             "                          iterations=5, batch_size=16)\n"
-            "harness.compare([config], range(1, 6), normalized_spread=False, jobs=2)\n"
+            "for jobs in (2, 1):\n"
+            "    report = harness.compare([config], [1, 2, 3], False, jobs)\n"
+            "    print(report.to_table_text(), end='')\n"
+            "print('workers started', len(started))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                               env=env, timeout=120, cwd=tmp_path)
-        assert proc.returncode != 0
-        assert "BrokenProcessPool" in proc.stderr
-        # This process owns seeds 1, 3 and 5; it must stop before the third.
-        started = proc.stdout.split("\n")
-        assert "parent starts seed 1" in started
-        assert "parent starts seed 5" not in started
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "script runs" and lines[-1] == "workers started 1"
+        assert proc.stdout.count("script runs") == 1
+        tables = lines[1:-1]
+        assert tables[0].startswith("method,")
+        assert tables[: len(tables) // 2] == tables[len(tables) // 2:]
+
+    def test_a_killed_worker_stops_the_parent_early(self, monkeypatch, started):
+        # Three processes: this one owns seeds 1 and 4, the workers 2, 5 and 3, 6.
+        monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 3)
+        own_seed = mtlbal.harness._seed_records
+        own = []
+
+        def kill_first_worker(seed, *args):
+            own.append(seed)
+            started[0].kill()
+            started[0].wait()
+            return own_seed(seed, *args)
+
+        monkeypatch.setattr(mtlbal.harness, "_seed_records", kill_first_worker)
+        configs = [fast_config(iterations=5)]
+        with pytest.raises(RuntimeError, match=rf"exited with status -{int(signal.SIGKILL)}\b"):
+            compare(configs, range(1, 7), normalized_spread=False, jobs=3)
+        assert own == [1]
+        # The other worker is stopped and reaped too.
+        assert len(started) == 2 and all(w.returncode is not None for w in started)
 
 
 class TestSweep:
