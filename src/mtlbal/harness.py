@@ -42,7 +42,7 @@ from .metrics import (
     f1_macro,
 )
 from .rng import SplitMix64, derive
-from .tasks import Dataset, TaskSpec, generate_mtl, specs_from_text, specs_to_text
+from .tasks import Dataset, TaskSpec, generate_mtl, is_int, specs_from_text, specs_to_text
 from .textio import fmt, table_text
 
 #: Purpose tag for the batch-sampling stream.
@@ -124,7 +124,18 @@ class ExperimentConfig:
     out_dir: str = "out"
     name: str | None = None
 
+    def __post_init__(self):
+        # Each accepted value as its codec reads it back: an int for a numpy
+        # integer, whose products in `memory_estimate` could overflow.
+        for key, (parse, to_text, accepts) in _FIELD_CODECS.items():
+            if accepts(value := getattr(self, key)):
+                object.__setattr__(self, key, parse(to_text(value)))
+
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value, accepts = getattr(self, f.name), _FIELD_CODECS[f.name][2]
+            if not (accepts(value) or value is None and f.type.endswith(" | None")):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!a}")
         # Range checks are written so that NaN fails them.
         _check_seed(self.seed)
         if self.balancer not in BALANCER_NAMES:
@@ -163,18 +174,10 @@ class ExperimentConfig:
             )
 
     def memory_estimate(self) -> dict:
-        """Bytes a run holds at its peak, by term, from the config alone.
-
-        The model is the larger one a command trains on this config: the
-        trunk-less stack of the single-task references (`compare`), with a
-        trunk per task. Terms: its parameter vector, gradient and two Adam
-        moments; the dataset's inputs and targets with the arrays that
-        generate them and the split permutation; one block of batch draws;
-        one array per layer (and the inputs) for a batch and one evaluation
-        block of the stack; and the test targets and gathered outputs, the
-        latter eight times for their loss's temporaries.
-        ConfigError if a data setting is out of range.
-        """
+        """Bytes a run holds at its peak, from the config alone, by the terms
+        of README, "Memory at a run's peak". The model is the larger one a
+        command trains: the single-task references' trunk-less stack, with a
+        trunk per task. ConfigError if a data setting is out of range."""
         specs, latent = self.resolved_tasks(), self.data_settings()["latent_dim"]
         k, outs = len(specs), [s.output_dim for s in specs]
         trunk, heads = network.layer_shapes(self.input_dim, self.trunk, self.head_hidden, specs)
@@ -222,7 +225,7 @@ class ExperimentConfig:
 
 def _check_seed(seed: int) -> None:
     """Seeds are unsigned 64-bit values (see `rng`)."""
-    if not 0 <= seed < 2**64:
+    if not (is_int(seed) and 0 <= seed < 2**64):
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
@@ -617,20 +620,20 @@ def _worker_cells(proc, seeds: list) -> dict:
 
 
 def _parallel_seed_records(seeds: list, processes: int, args: tuple) -> dict:
-    """Each seed's cells: this process runs seeds[0::processes] itself while
-    worker w (1 <= w < processes) runs seeds[w::processes]."""
-    import subprocess
-
-    # A fresh interpreter under this one's flags, not a fork: a fork taken
-    # after BLAS has started its threads can hang.
-    command = [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", _WORKER_CODE]
+    """Each seed's cells: this process runs seeds[0::processes] in turn while
+    worker w (1 <= w < processes), if any, runs seeds[w::processes]."""
     workers = []
     cells = {}
     try:
         for w in range(1, processes):
+            import subprocess  # here, so that a serial compare imports nothing more
+
             part = seeds[w::processes]
+            # A fresh interpreter under this one's flags, not a fork: a fork
+            # taken after BLAS has started its threads can hang.
             proc = subprocess.Popen(
-                command, bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+                [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", _WORKER_CODE],
+                bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             )
             workers.append((proc, part))
             proc.stdin.write(pickle.dumps(sys.path) + pickle.dumps((part, args)))
@@ -698,12 +701,7 @@ def compare(configs, seeds, normalized_spread: bool = True, jobs: int = 1) -> Co
     specs = base.resolved_tasks()
     names = task_names(specs)
     args = (configs, specs, normalized_spread, _dominant_index(specs))
-    processes = min(jobs, usable_cores(), len(seeds))
-    if processes == 1:
-        # Seed by seed, so one dataset is alive at a time.
-        cells = {seed: _seed_records(seed, *args) for seed in seeds}
-    else:
-        cells = _parallel_seed_records(seeds, processes, args)
+    cells = _parallel_seed_records(seeds, min(jobs, usable_cores(), len(seeds)), args)
     rows = [cells[seed][i] for i in range(len(configs)) for seed in seeds]
 
     summaries = []
@@ -798,16 +796,21 @@ def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1
 # Config-file schema (key = value text) and run outputs.
 # ---------------------------------------------------------------------------
 
-#: Each declared config field type's (parse, format) pair; `| None` adds nothing.
+#: Each declared config field type's (parse, format, accepts); `| None` also
+#: accepts None. `parse` reads back equal what `format` writes of any accepted value.
 _CODECS = {
-    "int": (int, str),
-    "float": (float, fmt),
-    "str": (str, str),
+    "int": (int, str, is_int),
+    "float": (float, fmt, lambda v: isinstance(v, float) or is_int(v) and abs(int(v)) <= 2**53),
+    "str": (str, str, lambda v: isinstance(v, str)),
     "tuple[int, ...]": (
         lambda text: tuple(int(p) for p in text.split(",") if p.strip()),
         lambda sizes: ",".join(str(s) for s in sizes),
+        lambda v: isinstance(v, tuple) and all(map(is_int, v)),
     ),
-    "tuple[TaskSpec, ...]": (specs_from_text, specs_to_text),
+    "tuple[TaskSpec, ...]": (
+        specs_from_text, specs_to_text,
+        lambda v: isinstance(v, tuple) and all(isinstance(s, TaskSpec) for s in v),
+    ),
 }
 _FIELD_CODECS = {
     f.name: _CODECS[f.type.removesuffix(" | None")] for f in dataclasses.fields(ExperimentConfig)
@@ -845,7 +848,7 @@ def config_to_text(config: ExperimentConfig) -> str:
     """Canonical echo of a config: one line per set field, in field order
     (None fields and empty tasks are left out); parse_config inverts it."""
     lines = []
-    for key, (_, to_text) in _FIELD_CODECS.items():
+    for key, (_, to_text, _) in _FIELD_CODECS.items():
         value = getattr(config, key)
         if value is None or (key == "tasks" and not value):
             continue

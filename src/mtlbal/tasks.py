@@ -17,6 +17,7 @@ are immutable and freely shareable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +35,11 @@ NOISE_FRACTION = 0.1
 DATA_STREAM_TAG = 0xDA7A
 
 
+def is_int(value) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One task: its loss kind, output width, dominance multiplier, and label."""
@@ -46,8 +52,8 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
-        if self.output_dim < 1:
-            raise ValueError(f"output_dim must be positive, got {self.output_dim}")
+        if not (is_int(self.output_dim) and self.output_dim >= 1):
+            raise ValueError(f"output_dim must be a positive integer, got {self.output_dim!a}")
         if self.kind == "multiclass-ce" and self.output_dim < 2:
             raise ValueError("multiclass-ce needs output_dim >= 2")
         if not (np.isfinite(self.loss_scale) and self.loss_scale > 0):

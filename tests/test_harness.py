@@ -19,6 +19,7 @@ from mtlbal import network
 from mtlbal.balancers import (
     BALANCER_NAMES,
     EPS_FLOOR,
+    GRADNORM_COEFF_MIN,
     EmaState,
     LossVector,
     combine,
@@ -44,8 +45,9 @@ from mtlbal.harness import (
     sweep,
 )
 from mtlbal.metrics import TRACE_COLUMNS, coefficient_spikiness, trace_to_text
-from mtlbal.rng import SplitMix64, derive
+from mtlbal.rng import NORMAL_BLOCK, SplitMix64, derive
 from mtlbal.tasks import TaskSpec, generate_mtl, loss_and_grad
+from mtlbal.textio import fmt
 
 # Small, fast settings shared by most tests here.
 FAST = dict(n_samples=300, input_dim=4, iterations=30, batch_size=16, log_cadence=5)
@@ -242,6 +244,63 @@ class TestConfig:
         specs = parsed.resolved_tasks()
         generate_mtl(**parsed.data_settings())
         network.init_params(parsed.seed, parsed.input_dim, parsed.trunk, parsed.head_hidden, specs)
+
+    #: A value of any kind a caller might put in a numeric field.
+    ANY_VALUE = st.one_of(
+        st.integers(), st.floats(), st.booleans(), st.text(max_size=3),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    )
+    #: The config's int and float fields, its size tuples and a task's width.
+    TYPED = [
+        *(f.name for f in dataclasses.fields(ExperimentConfig)
+          if f.type.removesuffix(" | None") in ("int", "float")),
+        "trunk", "head_hidden", "output_dim",
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_field_of_any_type_is_rejected_or_round_trips(self, data):
+        keys = data.draw(st.lists(st.sampled_from(self.TYPED), min_size=1, max_size=3, unique=True))
+        values = {
+            key: tuple(data.draw(st.lists(self.ANY_VALUE, min_size=1, max_size=2)))
+            if key in ("trunk", "head_hidden") else data.draw(self.ANY_VALUE)
+            for key in keys
+        }
+        if "output_dim" in values:
+            try:
+                spec = TaskSpec("multiclass-ce", values.pop("output_dim"))
+            except ValueError as exc:
+                assert "output_dim" in str(exc)
+                return
+            values.update(scenario=None, tasks=(spec, TaskSpec("binary-bce")))
+        cfg = fast_config(**values)
+        try:
+            cfg.validate()
+        except ConfigError:
+            return
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", 3.0), ("n_samples", 800.0), ("batch_size", 8.0), ("seed", 1.5),
+        ("seed", True), ("log_cadence", 2.5), ("trunk", (8.5,)), ("trunk", [8]), ("lr", "0.1"),
+        ("lr", 2**60), ("latent_dim", 2.5), ("name", 5),
+    ])
+    def test_a_value_of_the_wrong_type_is_a_config_error_naming_its_field(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            fast_config(**{key: value}).validate()
+
+    def test_a_task_width_must_be_an_integer(self):
+        for width in (3.5, True, "3"):
+            with pytest.raises(ValueError, match="output_dim must be a positive integer"):
+                TaskSpec("multiclass-ce", width)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        # A numpy integer's products would overflow in the memory estimate.
+        cfg = fast_config(n_samples=np.int64(2**62), trunk=(np.int64(8),), seed=np.uint64(7))
+        assert (type(cfg.n_samples), type(cfg.trunk[0]), type(cfg.seed)) == (int, int, int)
+        with pytest.raises(ConfigError, match="GiB cap"):
+            cfg.validate()
+        assert fast_config(lr=1).lr == 1.0 and type(fast_config(lr=1).lr) is float
 
     def test_parse_comments_and_blanks(self):
         cfg = parse_config("# comment\n\nscenario = va-mini\nbalancer = dwa\n")
@@ -754,10 +813,10 @@ class TestCompare:
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             compare([fast_config()], [1, 2, 1], normalized_spread=False)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_seed_out_of_range_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed must be in"):
-            compare([fast_config()], [1, seed], normalized_spread=False)
+            compare([fast_config()], [2, seed], normalized_spread=False)
 
     @pytest.mark.parametrize("jobs", [0, -1, 1.5])
     def test_bad_jobs_rejected(self, jobs):
@@ -952,6 +1011,20 @@ class TestParallelCompare:
         assert len(started) == 1
         assert started[0].returncode == 0
 
+    def test_a_serial_compare_imports_no_subprocess(self):
+        code = (
+            "import sys\n"
+            "from mtlbal import ExperimentConfig, compare\n"
+            "config = ExperimentConfig(scenario='celeb-mini', n_samples=300, input_dim=4,\n"
+            "                          iterations=2, batch_size=16)\n"
+            "compare([config], [1, 2], jobs=1)\n"
+            "print('subprocess' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
     def test_an_unguarded_script_needs_no_pythonpath(self, tmp_path):
         # The script puts src on sys.path itself and has no __main__ guard;
         # the worker imports mtlbal from that path and not the script.
@@ -1068,3 +1141,97 @@ class TestTableColumns:
         assert len(lines) == 1
         documented = re.findall(r"`([^`]+)`", lines[0])
         assert documented == [name.replace("{}", "<task>") for name in declared]
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_text() -> str:
+    """README with its whitespace runs folded to single spaces."""
+    return " ".join(README.read_text(encoding="utf-8").split())
+
+
+class TestReadme:
+    """The section titles the code cites and the figures README states match
+    the code."""
+
+    def test_cited_titles_exist(self):
+        root = Path(__file__).parents[1]
+        cited = {
+            title
+            for path in [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
+            for title in re.findall(r'README, "([A-Z][^"]*)"', path.read_text(encoding="utf-8"))
+        }
+        assert cited
+        assert sorted(t for t in cited if t not in readme_text()) == []
+
+    def test_stated_constants_equal_the_code(self):
+        readme = readme_text()
+        constants = {
+            "EVAL_BLOCK": mtlbal.harness.EVAL_BLOCK, "DRAW_BLOCK": mtlbal.harness.DRAW_BLOCK,
+            "NORMAL_BLOCK": NORMAL_BLOCK, "GRADNORM_COEFF_MIN": GRADNORM_COEFF_MIN,
+            "MEMORY_CAP": MEMORY_CAP,
+        }
+        for name, value in constants.items():
+            stated = re.findall(rf"`{name}` \(([\d.,e-]+)( GiB)?\)", readme)
+            assert stated, name
+            for number, gib in stated:
+                assert float(number.replace(",", "")) * (2**30 if gib else 1) == value, name
+
+    def test_states_celeb_mini_parameter_counts(self):
+        config = ExperimentConfig(scenario="celeb-mini")
+        specs = config.resolved_tasks()
+        model = network.init_params(1, config.input_dim, config.trunk, config.head_hidden, specs)
+        per_task = model.unshared(range(len(specs))).n_parameters() // len(specs)
+        assert (
+            f"celeb-mini's model has {model.n_parameters():,} parameters, its stack "
+            f"{per_task:,} per task"
+        ) in readme_text()
+
+    def test_states_where_gradnorm_under_sgd_aborts_on_va_mini(self):
+        config = ExperimentConfig(scenario="va-mini", balancer="gradnorm", optimizer="sgd")
+        with pytest.raises(NumericalAbort) as info:
+            run_experiment(config)
+        coeffs = re.search(r"^coeffs = (.*)$", info.value.balancer_snapshot, re.M).group(1)
+        low = min(float(c) for c in coeffs.split(","))
+        assert low < GRADNORM_COEFF_MIN
+        assert (
+            f"(va-mini under `sgd`: {low:.1e}, then an abort at iteration {info.value.iteration})"
+        ) in readme_text()
+
+    def test_config_table_states_every_key_and_its_default(self):
+        rows = re.findall(r"^\| `(\w+)` +\| ([^|]+?) +\|", README.read_text(encoding="utf-8"), re.M)
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        assert [key for key, _ in rows] == list(defaults)
+        for key, cell in rows:
+            if defaults[key] not in (None, ()):  # else the cell says it in words
+                assert mtlbal.harness._FIELD_CODECS[key][0](cell.strip("`")) == defaults[key], key
+
+    def test_states_the_scenarios_and_the_data_rules(self):
+        readme = readme_text()
+        celeb, va = SCENARIOS["celeb-mini"], SCENARIOS["va-mini"]
+        assert {s.kind for s in celeb} == {"binary-bce"}
+        assert [s.kind for s in va] == ["multiclass-ce", "regression-mse", "regression-mse"]
+        assert (
+            f"`celeb-mini` ({len(celeb)} binary tasks, one loss-scaled "
+            f"x{max(s.loss_scale for s in celeb):g}) or `va-mini` ({va[0].output_dim}-class + "
+            f"{len(va) - 1} regressions, one x{max(s.loss_scale for s in va):g})"
+        ) in readme
+        train = mtlbal.tasks.train_size(100)
+        per_task = int(re.search(r"at least (\d+) per task", readme).group(1))
+        assert f"({train}/{100 - train} train/test split), at least {per_task} per task" in readme
+        fast_config(n_samples=per_task * len(celeb)).validate()
+        with pytest.raises(ConfigError, match="n_samples"):
+            fast_config(n_samples=per_task * len(celeb) - 1).validate()
+        assert "seed in [0, 2**64)" in readme
+        fast_config(seed=2**64 - 1).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            fast_config(seed=2**64).validate()
+        assert "17 significant digits (`%.17g`)" in readme and fmt(1 / 3) == f"{1 / 3:.17g}"
+
+    def test_standalone_balancer_example_gives_its_stated_total(self):
+        blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+        (example,) = [b.split("```")[0] for b in blocks if "make_balancer(" in b]
+        scope: dict = {}
+        exec(example, scope)
+        assert scope["total"] == pytest.approx(float(re.search(r"# ~([\d.]+)", example).group(1)))
