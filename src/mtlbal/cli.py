@@ -158,10 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--seeds", default="1", help="e.g. 1..5 (default 1)")
     for table_p in (cmp_p, sweep_p):
-        table_p.add_argument(
-            "--jobs", type=int, default=harness.usable_cores(),
-            help="processes that run seeds (default: the usable cores; 1 runs serially)",
-        )
+        table_p.add_argument("--jobs", type=int, help="processes that run seeds "
+                             "(default: the usable cores; 1 runs serially)")
     return parser
 
 

@@ -660,7 +660,7 @@ def _parallel_seed_records(seeds: list, processes: int, args: tuple) -> dict:
     return cells
 
 
-def compare(configs, seeds, normalized_spread: bool = True, jobs: int = 1) -> ComparisonReport:
+def compare(configs, seeds, normalized_spread: bool = True, jobs=None) -> ComparisonReport:
     """Run every (config, seed) pair and tabulate per-method statistics.
 
     The configs must differ only in balancer settings (enforced). With
@@ -670,10 +670,10 @@ def compare(configs, seeds, normalized_spread: bool = True, jobs: int = 1) -> Co
     statistic is the worst normalized loss among non-dominant tasks. A run
     that aborts numerically is marked failed and the comparison proceeds.
 
-    Seeds run in min(jobs, usable cores, seeds) processes: this one plus
-    workers that are fresh interpreters importing mtlbal from this
-    process's `sys.path`, so a calling script needs no `__main__` guard.
-    The report does not depend on `jobs`.
+    Seeds run in min(jobs or usable cores, usable cores, seeds) processes:
+    this one plus workers that are fresh interpreters importing mtlbal from
+    this process's `sys.path`, so a calling script needs no `__main__`
+    guard. The report does not depend on `jobs`.
     """
     configs = list(configs)
     seeds = list(seeds)
@@ -683,7 +683,7 @@ def compare(configs, seeds, normalized_spread: bool = True, jobs: int = 1) -> Co
         raise ConfigError(f"seeds must be distinct, got {seeds}")
     for seed in seeds:
         _check_seed(seed)
-    if not (isinstance(jobs, int) and jobs >= 1):
+    if not (jobs is None or isinstance(jobs, int) and jobs >= 1):
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     for cfg in configs:
         cfg.validate()
@@ -701,7 +701,8 @@ def compare(configs, seeds, normalized_spread: bool = True, jobs: int = 1) -> Co
     specs = base.resolved_tasks()
     names = task_names(specs)
     args = (configs, specs, normalized_spread, _dominant_index(specs))
-    cells = _parallel_seed_records(seeds, min(jobs, usable_cores(), len(seeds)), args)
+    cores = usable_cores()
+    cells = _parallel_seed_records(seeds, min(jobs or cores, cores, len(seeds)), args)
     rows = [cells[seed][i] for i in range(len(configs)) for seed in seeds]
 
     summaries = []
@@ -762,7 +763,7 @@ class SweepReport:
         return table_text(SWEEP_COLUMNS, self.comparison.task_names, rows)
 
 
-def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1) -> SweepReport:
+def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs=None) -> SweepReport:
     """Grid the config over one balancer hyperparameter (a config key in
     SWEEPABLE that the config's balancer uses) and compare the cells, with
     `jobs` as in `compare`.
@@ -783,11 +784,9 @@ def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs: int = 1
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # repr round-trips a float, so distinct values get distinct labels.
-    variants = [
-        dataclasses.replace(config, **{parameter: v}, name=f"{parameter}={float(v)!r}")
-        for v in values
-    ]
+    configs = [dataclasses.replace(config, **{parameter: v}) for v in values]
+    # Each label holds the value as the config does: a float, whose repr round-trips.
+    variants = [dataclasses.replace(c, name=f"{parameter}={getattr(c, parameter)!r}") for c in configs]
     report = compare(variants, seeds, normalized_spread=False, jobs=jobs)
     return SweepReport(parameter=parameter, values=values, comparison=report)
 

@@ -56,12 +56,15 @@ class TaskSpec:
             raise ValueError(f"output_dim must be a positive integer, got {self.output_dim!a}")
         if self.kind == "multiclass-ce" and self.output_dim < 2:
             raise ValueError("multiclass-ce needs output_dim >= 2")
-        if not (np.isfinite(self.loss_scale) and self.loss_scale > 0):
-            raise ValueError(f"loss_scale must be positive, got {self.loss_scale}")
-        # Printable ASCII but for the space and the task list's separators, so
-        # that the bytes a name writes do not depend on the locale.
-        if not all("!" <= c <= "~" and c not in ":;,=" for c in self.name):
-            raise ValueError(f"task name {self.name!a}: printable ASCII only, no reserved ' :;,='")
+        scale = self.loss_scale
+        if isinstance(scale, bool) or not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
+            raise ValueError(f"loss_scale must be a positive, finite real number, got {scale!a}")
+        object.__setattr__(self, "loss_scale", float(scale))  # whatever Real type came in
+        # A str of printable ASCII but for the space and the task list's
+        # separators, so that the bytes a name writes do not depend on the locale.
+        name = self.name
+        if not (isinstance(name, str) and all("!" <= c <= "~" and c not in ":;,=" for c in name)):
+            raise ValueError(f"task name {name!a}: a str of printable ASCII, no reserved ' :;,='")
 
 
 class Batch(NamedTuple):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import mtlbal
 from mtlbal.balancers import BALANCER_NAMES
-from mtlbal.cli import main
+from mtlbal.cli import build_parser, main
 
 FAST_CONFIG = """\
 scenario = celeb-mini
@@ -270,6 +270,25 @@ class TestCompareCommand:
         serial = (tmp_path / "serial" / "compare.csv").read_bytes()
         assert (tmp_path / "parallel" / "compare.csv").read_bytes() == serial
         assert (tmp_path / "default" / "compare.csv").read_bytes() == serial
+
+    # Without --jobs the harness decides: on two usable cores, three seeds
+    # run in this process and one worker.
+    @pytest.mark.parametrize("command", ["compare --methods ema", "sweep --param beta --values 0.5"])
+    def test_jobs_default_to_the_harness_rule(self, config_file, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 2)
+        started = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        args = [*command.split(), "--config", str(config_file), "--seeds", "1..3",
+                "--out", str(tmp_path)]
+        assert build_parser().parse_args(args).jobs is None
+        assert main(args) == 0
+        assert len(started) == 1 and started[0].returncode == 0
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc for children")
     @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["ctrl-c", "kill"])

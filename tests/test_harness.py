@@ -1,6 +1,7 @@
 """Harness contracts: config schema, determinism, comparisons, failure policy."""
 
 import dataclasses
+import inspect
 import os
 import re
 import signal
@@ -818,7 +819,7 @@ class TestCompare:
         with pytest.raises(ConfigError, match="seed must be in"):
             compare([fast_config()], [2, seed], normalized_spread=False)
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
+    @pytest.mark.parametrize("jobs", [0, -1, -2, 1.5, "2"])
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(ConfigError, match="jobs"):
             compare([fast_config()], [1], normalized_spread=False, jobs=jobs)
@@ -861,7 +862,7 @@ class TestCompare:
 
         monkeypatch.setattr(mtlbal.harness, "generate_mtl", counting)
         configs = [fast_config(balancer=m, name=m) for m in ("baseline", "ema")]
-        report = compare(configs, [3, 4], normalized_spread=True)
+        report = compare(configs, [3, 4], normalized_spread=True, jobs=1)
         assert generated == [3, 4]
         assert [(r.method, r.seed) for r in report.rows] == [
             ("baseline", 3), ("baseline", 4), ("ema", 3), ("ema", 4)
@@ -981,9 +982,10 @@ class TestParallelCompare:
     def test_sweep_matches_serial(self):
         cfg = fast_config(balancer="uw", iterations=20)
         serial = sweep(cfg, "balancer_lr", [0.1, 0.01], [1, 2, 3], jobs=1)
-        assert sweep(cfg, "balancer_lr", [0.1, 0.01], [1, 2, 3], jobs=2).to_table_text() == (
-            serial.to_table_text()
-        )
+        for jobs in ({"jobs": 2}, {}):  # omitted, `jobs` is the usable cores
+            assert sweep(cfg, "balancer_lr", [0.1, 0.01], [1, 2, 3], **jobs).to_table_text() == (
+                serial.to_table_text()
+            )
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -1000,16 +1002,20 @@ class TestParallelCompare:
 
     def test_process_count_is_capped(self, monkeypatch, started):
         configs = [fast_config(iterations=5)]
-        serial = compare(configs, [1, 2, 3], normalized_spread=False)
-        # Two usable cores: one worker besides this process, whatever `jobs` asks.
-        capped = compare(configs, [1, 2, 3], normalized_spread=False, jobs=8)
-        assert len(started) == 1
-        assert capped.to_table_text() == serial.to_table_text()
-        compare(configs, [1], normalized_spread=False, jobs=8)  # one seed
+        serial = compare(configs, [1, 2, 3], normalized_spread=False, jobs=1)
+        assert started == []
+        # Two usable cores: one worker besides this process, whatever `jobs`
+        # asks; omitted, `jobs` is the usable cores.
+        for workers, jobs in enumerate(({"jobs": 8}, {}), start=1):
+            capped = compare(configs, [1, 2, 3], normalized_spread=False, **jobs)
+            assert capped.to_table_text() == serial.to_table_text()
+            compare(configs, [1], normalized_spread=False, **jobs)  # one seed
+            assert len(started) == workers
         monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 1)
-        compare(configs, [1, 2], normalized_spread=False, jobs=8)  # one core
-        assert len(started) == 1
-        assert started[0].returncode == 0
+        for jobs in ({"jobs": 8}, {}):
+            compare(configs, [1, 2], normalized_spread=False, **jobs)  # one core
+        assert len(started) == 2
+        assert all(worker.returncode == 0 for worker in started)
 
     def test_a_serial_compare_imports_no_subprocess(self):
         code = (
@@ -1105,6 +1111,18 @@ class TestSweep:
         sw = sweep(cfg, "temperature", [2.0, 1.0, 0.5], [1])
         assert [s.n_failed for s in sw.comparison.summaries] == [0, 0, 0]
 
+    # Each is rejected as the config rejects it, before any cell runs.
+    @pytest.mark.parametrize("values, message", [
+        (["x"], "beta must be float, got 'x'"),
+        ([None], "beta must be float, got None"),
+        ([0.5, True], "beta must be float, got True"),
+        ([0.5, float("nan")], r"beta must be in \(0, 1\], got nan"),
+    ], ids=["str", "none", "bool", "nan"])
+    def test_value_that_is_not_a_real_number_rejected(self, monkeypatch, values, message):
+        monkeypatch.setattr(mtlbal.harness, "_parallel_seed_records", None)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            sweep(fast_config(balancer="ema"), "beta", values, [1], jobs=1)
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="parameter"):
             sweep(fast_config(), "warp", [1.0], [1])
@@ -1198,6 +1216,11 @@ class TestReadme:
         assert (
             f"(va-mini under `sgd`: {low:.1e}, then an abort at iteration {info.value.iteration})"
         ) in readme_text()
+
+    def test_states_the_default_jobs(self):
+        # One rule for the library and the CLI: `None` means the usable cores.
+        assert [inspect.signature(f).parameters["jobs"].default for f in (compare, sweep)] == [None] * 2
+        assert "take `jobs=` (default `None`: the usable cores, as for the CLI's `--jobs`" in readme_text()
 
     def test_config_table_states_every_key_and_its_default(self):
         rows = re.findall(r"^\| `(\w+)` +\| ([^|]+?) +\|", README.read_text(encoding="utf-8"), re.M)

@@ -1,6 +1,8 @@
 """Generator determinism, loss-scale behavior, and loss/gradient oracles."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +67,22 @@ class TestTaskSpec:
             TaskSpec("binary-bce", 1, 0.0, "x")
         with pytest.raises(ValueError, match="reserved"):
             TaskSpec("binary-bce", 1, 1.0, "a:b")
+
+    # A field of the wrong type is a ValueError that names it, not a TypeError.
+    @pytest.mark.parametrize("args, message", [
+        ((1, "2"), "loss_scale must be a positive, finite real number, got '2'"),
+        ((1, True), "loss_scale must be a positive, finite real number, got True"),
+        ((1, None), "loss_scale must be a positive, finite real number, got None"),
+        ((1, 1.0, 5), "task name 5: a str of printable ASCII"),
+        ((1, 1.0, b"x"), "task name b'x': a str of printable ASCII"),
+    ], ids=["str-scale", "bool-scale", "none-scale", "int-name", "bytes-name"])
+    def test_field_types(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            TaskSpec("binary-bce", *args)
+
+    def test_loss_scale_is_kept_as_a_float(self):
+        scales = [TaskSpec("regression-mse", 1, s).loss_scale for s in (3, np.float32(0.5), Fraction(1, 4))]
+        assert scales == [3.0, 0.5, 0.25] and all(type(s) is float for s in scales)
 
     def test_text_roundtrip(self):
         specs = (BIN, REG, CE, TaskSpec("regression-mse", 1, 0.1 + 1 / 3, "odd"))
