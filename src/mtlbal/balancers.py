@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,22 +129,23 @@ def dwa_coefficients(rates: np.ndarray, temperature: float) -> np.ndarray:
     return (rates.size * e) / e.sum()
 
 
-#: Accepted values of each hyperparameter, written so that NaN fails.
-_VALID = {
-    "beta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "temperature": (lambda v: v > 0, "positive"),
-    "learning_rate": (lambda v: v > 0, "positive"),
-    "alpha": (lambda v: v >= 0, "nonnegative"),
-    "mode": (lambda v: v in ("divide", "multiply"), "'divide' or 'multiply'"),
+#: Each hyperparameter's default, a test of a value (NaN fails it) and the test in words.
+Hyperparameter = namedtuple("Hyperparameter", "default valid wanted")
+HYPERPARAMETERS = {
+    "beta": Hyperparameter(0.1, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "temperature": Hyperparameter(0.5, lambda v: v > 0, "positive"),
+    "learning_rate": Hyperparameter(0.025, lambda v: v > 0, "positive"),
+    "alpha": Hyperparameter(1.5, lambda v: v >= 0, "nonnegative"),
+    "mode": Hyperparameter("divide", lambda v: v in ("divide", "multiply"), "'divide' or 'multiply'"),
 }
 
 
 class Balancer:
     """One weighting strategy: its declarations plus `update`.
 
-    A subclass declares `hyper` (each hyperparameter with its default, in
-    snapshot order), `arrays` (its state arrays, None until the first step
-    sets them) and whether it `keeps_history` of the two previous loss
+    A subclass declares `hyper` (the HYPERPARAMETERS it uses, in snapshot
+    order), `arrays` (its state arrays, None until the first step sets
+    them) and whether it `keeps_history` of the two previous loss
     vectors. The constructor takes any of these by name. The base latches
     the task count `k` on the first step, counts iterations, keeps that
     history, advances the loss moving average of the EMA family, and
@@ -151,15 +153,15 @@ class Balancer:
     """
 
     method = ""
-    hyper: dict = {}
+    hyper: tuple = ()
     arrays: tuple = ()
     keeps_history = False
     requires_grad_norms = False
 
     def __init__(self, **values):
-        for name, default in self.hyper.items():
+        for name in self.hyper:
+            default, valid, wanted = HYPERPARAMETERS[name]
             value = values.pop(name, default)
-            valid, wanted = _VALID[name]
             if not valid(value):
                 raise ValueError(f"{name} must be {wanted}, got {value!r}")
             setattr(self, name, value)
@@ -225,7 +227,7 @@ class Ema(Balancer):
     """Reciprocal of the loss moving average as weights."""
 
     method = "ema"
-    hyper = {"beta": 0.1}
+    hyper = ("beta",)
     arrays = ("ema",)
     keeps_history = True
 
@@ -257,7 +259,7 @@ class Dwema(Ema):
     """
 
     method = "dwema"
-    hyper = {"beta": 0.1, "temperature": 0.5, "mode": "divide"}
+    hyper = ("beta", "temperature", "mode")
 
     def update(self, losses, past, grad_norms):
         coeff = dwa_coefficients(rate_ratios(past, self.k), self.temperature)
@@ -269,7 +271,7 @@ class Dwa(Balancer):
     """Softmax-of-training-rates weights; slower-converging tasks weigh more."""
 
     method = "dwa"
-    hyper = {"temperature": 0.5}
+    hyper = ("temperature",)
     keeps_history = True
 
     def update(self, losses, past, grad_norms):
@@ -284,7 +286,7 @@ class Uw(Balancer):
     """
 
     method = "uw"
-    hyper = {"learning_rate": 0.025}
+    hyper = ("learning_rate",)
     arrays = ("log_vars",)
 
     def update(self, losses, past, grad_norms):
@@ -303,7 +305,7 @@ class GradNorm(Balancer):
     """
 
     method = "gradnorm"
-    hyper = {"alpha": 1.5, "learning_rate": 0.025}
+    hyper = ("alpha", "learning_rate")
     arrays = ("coeffs", "initial_losses")
     requires_grad_norms = True
 
@@ -392,7 +394,6 @@ def gradnorm_step(state: GradNorm, losses: LossVector, grad_norms: np.ndarray) -
 
 _CLASSES = {cls.method: cls for cls in (Baseline, Ema, Rema, Dwema, Dwa, Uw, GradNorm)}
 BALANCER_NAMES = tuple(_CLASSES)
-_HYPER_NAMES = {name for cls in _CLASSES.values() for name in cls.hyper}
 
 
 def make_balancer(name: str, **hyper) -> Balancer:
@@ -404,7 +405,7 @@ def make_balancer(name: str, **hyper) -> Balancer:
     """
     if name not in _CLASSES:
         raise ValueError(f"unknown balancer {name!r}; expected one of {BALANCER_NAMES}")
-    if unknown := sorted(set(hyper) - _HYPER_NAMES):
+    if unknown := sorted(hyper.keys() - HYPERPARAMETERS):
         raise TypeError(f"make_balancer got unexpected arguments {unknown}")
     cls = _CLASSES[name]
     return cls(**{h: v for h, v in hyper.items() if h in cls.hyper})

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import network, tasks
 from .balancers import (
-    _VALID,
     BALANCER_NAMES,
     EPS_FLOOR,
+    HYPERPARAMETERS,
     LossVector,
     combine,
     make_balancer,
@@ -108,11 +108,11 @@ class ExperimentConfig:
     relatedness: float = 0.0
     latent_dim: int | None = None
     balancer: str = "ema"
-    beta: float = 0.1
-    temperature: float = 0.5
-    alpha: float = 1.5
-    balancer_lr: float = 0.025
-    dwema_mode: str = "divide"
+    beta: float = HYPERPARAMETERS["beta"].default
+    temperature: float = HYPERPARAMETERS["temperature"].default
+    alpha: float = HYPERPARAMETERS["alpha"].default
+    balancer_lr: float = HYPERPARAMETERS["learning_rate"].default
+    dwema_mode: str = HYPERPARAMETERS["mode"].default
     trunk: tuple[int, ...] = (64, 64)
     head_hidden: tuple[int, ...] = (32,)
     optimizer: str = "adam"
@@ -145,7 +145,7 @@ class ExperimentConfig:
         if self.scenario is not None and self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!a}; have {sorted(SCENARIOS)}")
         for key, hyper in _BALANCER_FIELDS.items():
-            valid, wanted = _VALID[hyper]
+            _, valid, wanted = HYPERPARAMETERS[hyper]
             if not valid(getattr(self, key)):
                 raise ConfigError(f"{key} must be {wanted}, got {getattr(self, key)!a}")
         if not self.lr > 0:
@@ -491,10 +491,7 @@ class ComparisonReport:
     summaries: list
 
     def summary(self, method: str) -> MethodSummary:
-        for s in self.summaries:
-            if s.method == method:
-                return s
-        raise KeyError(method)
+        return {s.method: s for s in self.summaries}[method]
 
     def records(self, method: str) -> list:
         return [r for r in self.rows if r.method == method]
@@ -508,9 +505,7 @@ class ComparisonReport:
 def _dominant_index(specs) -> int | None:
     """Index of the unique largest loss_scale, or None if there is a tie."""
     scales = [s.loss_scale for s in specs]
-    top = max(scales)
-    holders = [i for i, s in enumerate(scales) if s == top]
-    return holders[0] if len(holders) == 1 else None
+    return scales.index(max(scales)) if scales.count(max(scales)) == 1 else None
 
 
 def _record(config: ExperimentConfig, data: Dataset, reference, dominant) -> RunRecord:
@@ -683,8 +678,8 @@ def compare(configs, seeds, normalized_spread: bool = True, jobs=None) -> Compar
         raise ConfigError(f"seeds must be distinct, got {seeds}")
     for seed in seeds:
         _check_seed(seed)
-    if not (jobs is None or isinstance(jobs, int) and jobs >= 1):
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if not (jobs is None or is_int(jobs) and jobs >= 1):
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!a}")
     for cfg in configs:
         cfg.validate()
     base = configs[0]

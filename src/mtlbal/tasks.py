@@ -16,6 +16,7 @@ are immutable and freely shareable.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -56,10 +57,13 @@ class TaskSpec:
             raise ValueError(f"output_dim must be a positive integer, got {self.output_dim!a}")
         if self.kind == "multiclass-ce" and self.output_dim < 2:
             raise ValueError("multiclass-ce needs output_dim >= 2")
-        scale = self.loss_scale
-        if isinstance(scale, bool) or not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
+        scale, value = self.loss_scale, math.nan  # checked as the float kept
+        if isinstance(scale, numbers.Real) and not isinstance(scale, bool):
+            with contextlib.suppress(OverflowError):  # float(10**400) overflows
+                value = float(scale)
+        if not 0 < value < math.inf:
             raise ValueError(f"loss_scale must be a positive, finite real number, got {scale!a}")
-        object.__setattr__(self, "loss_scale", float(scale))  # whatever Real type came in
+        object.__setattr__(self, "loss_scale", value)
         # A str of printable ASCII but for the space and the task list's
         # separators, so that the bytes a name writes do not depend on the locale.
         name = self.name

@@ -11,6 +11,7 @@ from mtlbal.balancers import (
     BALANCER_NAMES,
     EPS_FLOOR,
     GRADNORM_COEFF_MIN,
+    HYPERPARAMETERS,
     Baseline,
     Dwa,
     Dwema,
@@ -590,11 +591,12 @@ class TestBaseline:
 
 class TestMakeBalancer:
     def test_keywords_defaults_and_unknown_names(self):
-        # Hyperparameters the method does not declare are ignored; the rest
-        # default to the class's declaration.
+        # Hyperparameters the method does not declare are ignored; one left
+        # out takes its default.
+        default = HYPERPARAMETERS["temperature"].default
         bal = make_balancer("dwema", beta=0.3, mode="multiply", alpha=2.0, learning_rate=1.0)
-        assert (bal.beta, bal.temperature, bal.mode) == (0.3, Dwema.hyper["temperature"], "multiply")
-        assert make_balancer("dwa").temperature == Dwa.hyper["temperature"]
+        assert (bal.beta, bal.temperature, bal.mode) == (0.3, default, "multiply")
+        assert make_balancer("dwa").temperature == default
         with pytest.raises(TypeError, match="gamma"):
             make_balancer("ema", gamma=0.5)
         with pytest.raises(ValueError, match="beta"):

@@ -259,7 +259,7 @@ class TestCompareCommand:
         rc = main(["compare", "--config", str(config_file), "--methods", "ema", "--seeds", "1",
                    "--jobs", jobs, "--out", str(tmp_path)])
         assert rc == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
 
     def test_jobs_do_not_change_the_table(self, config_file, tmp_path):
         args = ["compare", "--config", str(config_file), "--methods", "baseline,uw",
@@ -484,10 +484,10 @@ LOCALES = {
 }
 
 
-def run_cli_bytes(args, cwd, locale):
-    """Run the CLI in a fresh process under one of LOCALES; returns the exit
-    code, stdout and stderr as bytes."""
-    env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]), **LOCALES[locale])
+def run_cli_bytes(args, cwd, settings):
+    """Run the CLI in a fresh process with these environment `settings`, such
+    as one of LOCALES; returns the exit code, stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mtlbal.__file__).parents[1]), **settings)
     done = subprocess.run([sys.executable, "-m", "mtlbal.cli", *args], capture_output=True,
                           env=env, timeout=120, cwd=cwd)
     return done.returncode, done.stdout, done.stderr
@@ -507,37 +507,20 @@ class TestLocale:
     @pytest.mark.parametrize("locale", sorted(LOCALES))
     def test_config_byte_ff_exits_one_naming_the_line(self, tmp_path, locale):
         (tmp_path / "exp.cfg").write_bytes(FAST_CONFIG.encode() + b"name = \xff\n")
-        code, out, err = run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, locale)
+        code, out, err = run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, LOCALES[locale])
         assert (code, out) == (1, b"")
         assert err == b"config error: line 9: not UTF-8 (invalid start byte)\n"
 
     def test_non_ascii_task_name_exits_one_with_one_line(self, tmp_path):
         config = FAST_CONFIG.replace("scenario = celeb-mini", "tasks = binary-bce:1:1:caf\u00e9")
         (tmp_path / "exp.cfg").write_bytes(config.encode())
-        outcomes = {locale: run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, locale)
+        outcomes = {locale: run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, LOCALES[locale])
                     for locale in LOCALES}
         code, out, err = outcomes["C"]
         assert outcomes["utf-8"] == outcomes["C"]
         assert (code, out) == (1, b"")
         assert err.startswith(b"config error: line 1: bad value for 'tasks': task name 'caf\\xe9'")
         assert err.count(b"\n") == 1
-
-    @pytest.mark.parametrize("argv", [
-        ["run"], ["single-task", "--task", "1"],
-        ["compare", "--methods", "baseline,ema", "--seeds", "1..2", "--jobs", "1"],
-    ])
-    def test_outputs_are_the_same_bytes_under_both_locales(self, tmp_path, argv):
-        (tmp_path / "exp.cfg").write_bytes(("# caf\u00e9\n" + FAST_CONFIG).encode())
-        outputs = []
-        for locale in LOCALES:
-            cwd = tmp_path / locale  # the same relative --out, since `run` prints it
-            cwd.mkdir()
-            outcome = run_cli_bytes([*argv, "--config", "../exp.cfg", "--out", "out"], cwd, locale)
-            outputs.append((outcome, {p.name: p.read_bytes() for p in sorted(cwd.glob("out/*"))}))
-        (code, _, err), files = outputs[0]
-        assert (code, err) == (0, b"")
-        assert files and outputs[1] == outputs[0]
-
 
     @pytest.mark.parametrize("argv", [
         ["run"], ["compare", "--methods", "baseline", "--seeds", "1", "--no-spread"],
@@ -547,7 +530,7 @@ class TestLocale:
         # that nothing trained.
         config = NONFINITE_CONFIG + "out_dir = d\u00e9j\u00e0\n"
         (tmp_path / "exp.cfg").write_bytes(config.encode())
-        code, out, err = run_cli_bytes([*argv, "--config", "exp.cfg"], tmp_path, "C")
+        code, out, err = run_cli_bytes([*argv, "--config", "exp.cfg"], tmp_path, LOCALES["C"])
         assert (code, out) == (1, b"")
         assert err == (b"config error: cannot write output directory 'd\\xe9j\\xe0': "
                        b"the file system encoding 'ascii' cannot hold its name\n")
@@ -569,13 +552,96 @@ class TestLocale:
     def test_a_rejected_config_gives_the_same_stderr_under_both_locales(self, tmp_path, old, new):
         config = (FAST_CONFIG + "optimizer = adam\n").replace(old, new)
         (tmp_path / "exp.cfg").write_bytes(config.encode())
-        outcomes = {locale: run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, locale)
+        outcomes = {locale: run_cli_bytes(["run", "--config", "exp.cfg"], tmp_path, LOCALES[locale])
                     for locale in LOCALES}
         code, out, err = outcomes["C"]
         assert outcomes["utf-8"] == outcomes["C"]
         assert (code, out) == (1, b"")
         assert err.startswith(b"config error: ") and err.count(b"\n") == 1
         assert b"caf\\xe9" in err and err.isascii()
+
+
+#: celeb-mini or va-mini cut to 300 samples and 20 steps.
+TINY = "n_samples = 300\ninput_dim = 4\niterations = 20\nbatch_size = 16\n"
+
+#: TestEnvironment's cases: an id, the config, the command and its exit code.
+MATRIX = [
+    ("compare-celeb", "scenario = celeb-mini\n" + TINY,
+     "compare --methods baseline,ema,uw,gradnorm --seeds 1..3", 0),
+    # References evaluated as one stack of two head groups, {CE} and {MSE, MSE}.
+    ("compare-va", "scenario = va-mini\n" + TINY, "compare --methods baseline,ema,gradnorm --seeds 1..3", 0),
+    # Four kinds of head in three groups: {MSE}, {BCE, BCE} and {CE}.
+    ("compare-mixed", "tasks = regression-mse:2:3:r; binary-bce:1:1:b0; multiclass-ce:4:1:c; "
+     "binary-bce:1:2.5:b1\n" + TINY, "compare --methods baseline,ema --seeds 1..2", 0),
+    # The references and baseline abort; ema does not.
+    ("compare-divergent", DIVERGENT_CONFIG, "compare --methods baseline,ema --seeds 1..2", 0),
+    ("sweep", "scenario = celeb-mini\n" + TINY, "sweep --param beta --values 0.5,0.1 --seeds 1..3", 0),
+    ("run-celeb-100", "scenario = celeb-mini\niterations = 100\n", "run", 0),
+    # 600 test rows: evaluation blocks of 256 and 344 rows.
+    ("run-celeb-blocks", "scenario = celeb-mini\nn_samples = 3000\niterations = 20\n", "run", 0),
+    # A trace row at every step, past two DRAW_BLOCK boundaries.
+    ("run-celeb-every-step", "scenario = celeb-mini\nlog_cadence = 1\niterations = 130\n", "run", 0),
+    ("run-celeb-sgd", "scenario = celeb-mini\noptimizer = sgd\niterations = 100\n", "run", 0),
+    # Generation handles the 40-class task last, after the two regressions.
+    ("run-wide-ce", "tasks = multiclass-ce:40:1:c40; regression-mse:1:1:r0; regression-mse:1:20:r1\n"
+     "latent_dim = 48\nrelatedness = 0.3\nn_samples = 2001\niterations = 50\n", "run", 0),
+    # The grad-norm probe.
+    ("run-va-gradnorm", "scenario = va-mini\nbalancer = gradnorm\niterations = 100\n", "run", 0),
+    # Aborts at iteration 21: gradnorm drives two coefficients to ~3e-72.
+    ("run-va-gradnorm-sgd", "scenario = va-mini\nbalancer = gradnorm\noptimizer = sgd\niterations = 300\n",
+     "run", 2),
+    ("run-divergent", DIVERGENT_CONFIG, "run", 2),
+    ("run-overflow", OVERFLOW_CONFIG, "run", 2),
+    ("run-nonfinite", NONFINITE_CONFIG, "run", 2),
+    # One-task runs train through broadcast 3-D matmuls throughout.
+    ("single-task-celeb", "scenario = celeb-mini\n" + TINY, "single-task --task 7", 0),
+    ("single-task-va", "scenario = va-mini\n" + TINY, "single-task --task 0", 0),
+]
+
+#: Two environments that differ in every setting the determinism contract
+#: names: BLAS threads, the hash seed, the locale, `--jobs` (given to
+#: `compare` and `sweep` only) and the working directory.
+ENVIRONMENTS = [
+    ({"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0", **LOCALES["utf-8"]}, "1", "a"),
+    ({"OPENBLAS_NUM_THREADS": "2", "PYTHONHASHSEED": "4242", **LOCALES["C"]}, "2",
+     "b/a-longer/working-directory"),
+]
+
+
+class TestEnvironment:
+    """README's determinism contract: no output byte depends on the
+    environment. Each MATRIX case runs in fresh processes under both
+    ENVIRONMENTS, with the same relative --config and --out, and must give
+    the same exit code, stdout, stderr and files under out/, byte for byte."""
+
+    @staticmethod
+    def outcome(cwd, config, command, environment):
+        """The exit code, stdout, stderr and each file under out/, by name."""
+        settings, jobs, path = environment
+        cwd = cwd / path
+        cwd.mkdir(parents=True)
+        (cwd / "exp.cfg").write_bytes(("# caf\u00e9\n" + config).encode())
+        argv = [*command.split(), "--config", "exp.cfg", "--out", "out"]
+        if argv[0] in ("compare", "sweep"):
+            argv += ["--jobs", jobs]
+        code, out, err = run_cli_bytes(argv, cwd, settings)
+        files = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                 for p in sorted(cwd.glob("out/**/*")) if p.is_file()}
+        return {"exit code": code, "stdout": out, "stderr": err, **files}
+
+    def test_every_byte_is_the_same_in_both_environments(self, tmp_path):
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            runs = {(case, side): pool.submit(self.outcome, tmp_path / case, config, command, env)
+                    for case, config, command, _ in MATRIX for side, env in enumerate(ENVIRONMENTS)}
+        faults = []
+        for case, _, _, code in MATRIX:
+            a, b = runs[case, 0].result(), runs[case, 1].result()
+            # A success writes some file and nothing to stderr.
+            if a["exit code"] != code or code == 0 and (len(a) == 3 or a["stderr"]):
+                faults.append(f"{case}: exit code {a['exit code']}, stderr {a['stderr'][-300:]}")
+            faults += [f"{case}: {name}" for name in {**a, **b} if a.get(name) != b.get(name)]
+        assert not faults, "\n".join(faults)
+
 
 #: Loss scales from the smallest subnormal to near the largest double.
 SCALES = st.one_of(

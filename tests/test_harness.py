@@ -21,6 +21,7 @@ from mtlbal.balancers import (
     BALANCER_NAMES,
     EPS_FLOOR,
     GRADNORM_COEFF_MIN,
+    HYPERPARAMETERS,
     EmaState,
     LossVector,
     combine,
@@ -489,9 +490,7 @@ class TestBalancerRulesHaveOneHome:
     @pytest.mark.parametrize("key", sorted(mtlbal.harness._BALANCER_FIELDS))
     def test_config_defaults_are_the_declared_defaults(self, key):
         hyper = mtlbal.harness._BALANCER_FIELDS[key]
-        for cls in BALANCER_CLASSES:
-            if hyper in cls.hyper:
-                assert getattr(ExperimentConfig(), key) == cls.hyper[hyper], cls.__name__
+        assert getattr(ExperimentConfig(), key) == HYPERPARAMETERS[hyper].default
 
 
 class TestDataRulesHaveOneHome:
@@ -819,9 +818,9 @@ class TestCompare:
         with pytest.raises(ConfigError, match="seed must be in"):
             compare([fast_config()], [2, seed], normalized_spread=False)
 
-    @pytest.mark.parametrize("jobs", [0, -1, -2, 1.5, "2"])
+    @pytest.mark.parametrize("jobs", [0, -1, -2, 1.5, "2", True])
     def test_bad_jobs_rejected(self, jobs):
-        with pytest.raises(ConfigError, match="jobs"):
+        with pytest.raises(ConfigError, match="jobs must be an integer >= 1"):
             compare([fast_config()], [1], normalized_spread=False, jobs=jobs)
 
     def test_non_balancer_difference_rejected(self):
@@ -1006,7 +1005,7 @@ class TestParallelCompare:
         assert started == []
         # Two usable cores: one worker besides this process, whatever `jobs`
         # asks; omitted, `jobs` is the usable cores.
-        for workers, jobs in enumerate(({"jobs": 8}, {}), start=1):
+        for workers, jobs in enumerate(({"jobs": 8}, {}, {"jobs": np.int64(2)}), start=1):
             capped = compare(configs, [1, 2, 3], normalized_spread=False, **jobs)
             assert capped.to_table_text() == serial.to_table_text()
             compare(configs, [1], normalized_spread=False, **jobs)  # one seed
@@ -1014,7 +1013,7 @@ class TestParallelCompare:
         monkeypatch.setattr(mtlbal.harness, "usable_cores", lambda: 1)
         for jobs in ({"jobs": 8}, {}):
             compare(configs, [1, 2], normalized_spread=False, **jobs)  # one core
-        assert len(started) == 2
+        assert len(started) == 3
         assert all(worker.returncode == 0 for worker in started)
 
     def test_a_serial_compare_imports_no_subprocess(self):

@@ -73,9 +73,13 @@ class TestTaskSpec:
         ((1, "2"), "loss_scale must be a positive, finite real number, got '2'"),
         ((1, True), "loss_scale must be a positive, finite real number, got True"),
         ((1, None), "loss_scale must be a positive, finite real number, got None"),
+        ((1, 10**400), "loss_scale must be a positive, finite real number, got 1000"),
+        ((1, Fraction(10**400, 3)), "loss_scale must be a positive, finite real number, got Fraction(1000"),
+        ((1, Fraction(1, 10**400)), "loss_scale must be a positive, finite real number, got Fraction(1, 1000"),
         ((1, 1.0, 5), "task name 5: a str of printable ASCII"),
         ((1, 1.0, b"x"), "task name b'x': a str of printable ASCII"),
-    ], ids=["str-scale", "bool-scale", "none-scale", "int-name", "bytes-name"])
+    ], ids=["str-scale", "bool-scale", "none-scale", "overflowing-int-scale", "overflowing-fraction-scale",
+            "underflowing-fraction-scale", "int-name", "bytes-name"])
     def test_field_types(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             TaskSpec("binary-bce", *args)
