@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tasks import is_real
 from .textio import fmt, fmt_vec
 
 logger = logging.getLogger(__name__)
@@ -129,14 +130,17 @@ def dwa_coefficients(rates: np.ndarray, temperature: float) -> np.ndarray:
     return (rates.size * e) / e.sum()
 
 
-#: Each hyperparameter's default, a test of a value (NaN fails it) and the test in words.
+#: Each hyperparameter's default, a test of a value (NaN and a non-number
+#: fail it) and the test in words.
 Hyperparameter = namedtuple("Hyperparameter", "default valid wanted")
 HYPERPARAMETERS = {
-    "beta": Hyperparameter(0.1, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "temperature": Hyperparameter(0.5, lambda v: v > 0, "positive"),
-    "learning_rate": Hyperparameter(0.025, lambda v: v > 0, "positive"),
-    "alpha": Hyperparameter(1.5, lambda v: v >= 0, "nonnegative"),
-    "mode": Hyperparameter("divide", lambda v: v in ("divide", "multiply"), "'divide' or 'multiply'"),
+    "beta": Hyperparameter(0.1, lambda v: is_real(v) and 0.0 < v <= 1.0, "in (0, 1]"),
+    "temperature": Hyperparameter(0.5, lambda v: is_real(v) and v > 0, "positive"),
+    "learning_rate": Hyperparameter(0.025, lambda v: is_real(v) and v > 0, "positive"),
+    "alpha": Hyperparameter(1.5, lambda v: is_real(v) and v >= 0, "nonnegative"),
+    "mode": Hyperparameter(
+        "divide", lambda v: isinstance(v, str) and v in ("divide", "multiply"), "'divide' or 'multiply'"
+    ),
 }
 
 
@@ -175,7 +179,7 @@ class Balancer:
                 self.k = value.size
             setattr(self, name, value)
         if values:
-            raise TypeError(f"{type(self).__name__} got unexpected arguments {sorted(values)}")
+            raise ValueError(f"{type(self).__name__} got unexpected arguments {sorted(values)}")
         self.history: list = []
         self.iteration = 0
 
@@ -406,7 +410,7 @@ def make_balancer(name: str, **hyper) -> Balancer:
     if name not in _CLASSES:
         raise ValueError(f"unknown balancer {name!r}; expected one of {BALANCER_NAMES}")
     if unknown := sorted(hyper.keys() - HYPERPARAMETERS):
-        raise TypeError(f"make_balancer got unexpected arguments {unknown}")
+        raise ValueError(f"make_balancer got unexpected arguments {unknown}")
     cls = _CLASSES[name]
     return cls(**{h: v for h, v in hyper.items() if h in cls.hyper})
 

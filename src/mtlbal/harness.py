@@ -43,7 +43,7 @@ from .metrics import (
 )
 from .rng import SplitMix64, derive
 from .tasks import Dataset, TaskSpec, generate_mtl, is_int, specs_from_text, specs_to_text
-from .textio import fmt, table_text
+from .textio import fmt, parse_float, parse_int, table_text
 
 #: Purpose tag for the batch-sampling stream.
 BATCH_STREAM_TAG = 0xBA7C
@@ -83,6 +83,12 @@ OPTIMIZERS = ("adam", "sgd")
 #: Bytes a run may be estimated to hold (`ExperimentConfig.memory_estimate`);
 #: a config above it is a ConfigError.
 MEMORY_CAP = 2**30
+
+
+def _gib(size: int) -> str:
+    """Bytes in GiB, to one decimal, or as a power of two past the float range."""
+    return f"{size / 2**30:,.1f} GiB" if size < 2**1000 else f"2**{size.bit_length() - 31} GiB"
+
 
 #: Each config field that sets a balancer hyperparameter, with its name there.
 _BALANCER_FIELDS = {
@@ -125,41 +131,20 @@ class ExperimentConfig:
     name: str | None = None
 
     def __post_init__(self):
-        # Each accepted value as its codec reads it back: an int for a numpy
-        # integer, whose products in `memory_estimate` could overflow.
-        for key, (parse, to_text, accepts) in _FIELD_CODECS.items():
-            if accepts(value := getattr(self, key)):
-                object.__setattr__(self, key, parse(to_text(value)))
-
-    def validate(self) -> None:
+        """ConfigError unless each field has its declared type and passes its
+        `_RULES` rule, and the rules across fields hold. A config pickled to a
+        seed worker is not checked again: unpickling skips `__init__`."""
         for f in dataclasses.fields(self):
-            value, accepts = getattr(self, f.name), _FIELD_CODECS[f.name][2]
-            if not (accepts(value) or value is None and f.type.endswith(" | None")):
+            value, (parse, to_text, accepts) = getattr(self, f.name), _FIELD_CODECS[f.name]
+            if accepts(value):  # kept as its codec reads it back: an int for a numpy integer
+                object.__setattr__(self, f.name, parse(to_text(value)))
+            elif not (value is None and f.type.endswith(" | None")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!a}")
-        # Range checks are written so that NaN fails them.
-        _check_seed(self.seed)
-        if self.balancer not in BALANCER_NAMES:
-            raise ConfigError(f"balancer must be one of {BALANCER_NAMES}, got {self.balancer!a}")
+        for key, (valid, wanted) in _RULES.items():
+            if (value := getattr(self, key)) is not None and not valid(value):
+                raise ConfigError(f"{key} must be {wanted}, got {value!a}")
         if bool(self.scenario) == bool(self.tasks):
             raise ConfigError("exactly one of 'scenario' or 'tasks' must be set")
-        if self.scenario is not None and self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!a}; have {sorted(SCENARIOS)}")
-        for key, hyper in _BALANCER_FIELDS.items():
-            _, valid, wanted = HYPERPARAMETERS[hyper]
-            if not valid(getattr(self, key)):
-                raise ConfigError(f"{key} must be {wanted}, got {getattr(self, key)!a}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!a}")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be nonnegative")
-        if self.batch_size < 1 or self.log_cadence < 1:
-            raise ConfigError("batch_size and log_cadence must be >= 1")
-        if not self.trunk or any(s < 1 for s in self.trunk):
-            raise ConfigError("trunk needs at least one positive layer size")
-        if any(s < 1 for s in self.head_hidden):
-            raise ConfigError("head_hidden sizes must be positive")
         names = task_names(self.resolved_tasks())
         if len(set(names)) < len(names):
             raise ConfigError(f"task labels must be unique, got {names}")
@@ -168,9 +153,8 @@ class ExperimentConfig:
         if total > MEMORY_CAP:
             name = max(terms, key=terms.get)
             raise ConfigError(
-                f"a run would hold about {total / 2**30:,.1f} GiB, above the "
-                f"{MEMORY_CAP / 2**30:g} GiB cap; the largest term is the {name} "
-                f"({terms[name] / 2**30:,.1f} GiB)"
+                f"a run would hold about {_gib(total)}, above the {MEMORY_CAP / 2**30:g} GiB "
+                f"cap; the largest term is the {name} ({_gib(terms[name])})"
             )
 
     def memory_estimate(self) -> dict:
@@ -221,12 +205,6 @@ class ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-def _check_seed(seed: int) -> None:
-    """Seeds are unsigned 64-bit values (see `rng`)."""
-    if not (is_int(seed) and 0 <= seed < 2**64):
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def task_names(specs) -> tuple:
@@ -373,7 +351,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     offending iteration and a balancer snapshot if the total loss leaves the
     finite range.
     """
-    config.validate()
     return _method_run(config, generate_mtl(**config.data_settings()))
 
 
@@ -387,10 +364,9 @@ def run_single_task(config: ExperimentConfig, task_index: int) -> RunResult:
     This is the one-task case of `_reference_run`, whose composite is that
     task's metric.
     """
-    config.validate()
     n_tasks = len(config.resolved_tasks())
-    if not 0 <= task_index < n_tasks:
-        raise ConfigError(f"task index {task_index} out of range for {n_tasks} tasks")
+    if not (is_int(task_index) and 0 <= task_index < n_tasks):
+        raise ConfigError(f"task index {task_index!a} out of range for {n_tasks} tasks")
     return _reference_run(config, generate_mtl(**config.data_settings()), [task_index])
 
 
@@ -544,7 +520,7 @@ def usable_cores() -> int:
 def _seed_records(seed: int, configs, specs, normalized_spread: bool, dominant) -> list:
     """One seed's comparison cells, in config order.
 
-    `compare` has validated the configs and the seed. The seed's dataset is
+    `compare` has checked the configs and the seed. The seed's dataset is
     generated once and handed to the references, which train as one run,
     and to each method's run. The references follow the failed-run policy:
     a seed where any reference aborts has no spread statistics.
@@ -655,6 +631,16 @@ def _parallel_seed_records(seeds: list, processes: int, args: tuple) -> dict:
     return cells
 
 
+def _listed(values, what: str, kind=object) -> list:
+    """`values` as a list; ConfigError for a str, a non-iterable or an item not a `kind`."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"{what} must be an iterable other than a str, got {values!a}")
+    values = list(values)
+    if wrong := [v for v in values if not isinstance(v, kind)]:
+        raise ConfigError(f"{what} must hold {kind.__name__} items, got {wrong[0]!a}")
+    return values
+
+
 def compare(configs, seeds, normalized_spread: bool = True, jobs=None) -> ComparisonReport:
     """Run every (config, seed) pair and tabulate per-method statistics.
 
@@ -670,25 +656,17 @@ def compare(configs, seeds, normalized_spread: bool = True, jobs=None) -> Compar
     this process's `sys.path`, so a calling script needs no `__main__`
     guard. The report does not depend on `jobs`.
     """
-    configs = list(configs)
-    seeds = list(seeds)
+    configs, seeds = _listed(configs, "configs", ExperimentConfig), _listed(seeds, "seeds")
     if not configs or not seeds:
         raise ConfigError("compare needs at least one config and one seed")
+    base = configs[0]
+    seeds = [dataclasses.replace(base, seed=seed).seed for seed in seeds]  # the seed rule's check
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
-    for seed in seeds:
-        _check_seed(seed)
     if not (jobs is None or is_int(jobs) and jobs >= 1):
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!a}")
-    for cfg in configs:
-        cfg.validate()
-    base = configs[0]
-    for cfg in configs[1:]:
-        for fld in _SHARED_FIELDS:
-            if getattr(cfg, fld) != getattr(base, fld):
-                raise ConfigError(
-                    f"configs must differ only in balancer settings; {fld!r} differs"
-                )
+    if differ := [f for cfg in configs for f in _SHARED_FIELDS if getattr(cfg, f) != getattr(base, f)]:
+        raise ConfigError(f"configs must differ only in balancer settings; {differ[0]!r} differs")
     labels = [cfg.label for cfg in configs]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"config labels must be unique, got {labels}")
@@ -769,14 +747,13 @@ def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs=None) ->
     if parameter not in SWEEPABLE:
         hint = "; the balancer's learning rate is 'balancer_lr'" if parameter == "lr" else ""
         raise ConfigError(f"parameter must be one of {list(SWEEPABLE)}, got {parameter!r}{hint}")
-    config.validate()
     used = _make_balancer(config).hyper
     if _BALANCER_FIELDS[parameter] not in used:
         keys = [key for key, name in _BALANCER_FIELDS.items() if name in used]
         raise ConfigError(
             f"balancer {config.balancer!r} ignores {parameter!r}; it uses {', '.join(keys) or 'none'}"
         )
-    values = list(values)
+    values = _listed(values, "values")
     if not values:
         raise ConfigError("sweep needs at least one value")
     configs = [dataclasses.replace(config, **{parameter: v}) for v in values]
@@ -793,11 +770,11 @@ def sweep(config: ExperimentConfig, parameter: str, values, seeds, jobs=None) ->
 #: Each declared config field type's (parse, format, accepts); `| None` also
 #: accepts None. `parse` reads back equal what `format` writes of any accepted value.
 _CODECS = {
-    "int": (int, str, is_int),
-    "float": (float, fmt, lambda v: isinstance(v, float) or is_int(v) and abs(int(v)) <= 2**53),
+    "int": (parse_int, str, is_int),
+    "float": (parse_float, fmt, lambda v: isinstance(v, float) or is_int(v) and abs(int(v)) <= 2**53),
     "str": (str, str, lambda v: isinstance(v, str)),
     "tuple[int, ...]": (
-        lambda text: tuple(int(p) for p in text.split(",") if p.strip()),
+        lambda text: tuple(parse_int(p) for p in text.split(",") if p.strip()),
         lambda sizes: ",".join(str(s) for s in sizes),
         lambda v: isinstance(v, tuple) and all(map(is_int, v)),
     ),
@@ -808,6 +785,26 @@ _CODECS = {
 }
 _FIELD_CODECS = {
     f.name: _CODECS[f.type.removesuffix(" | None")] for f in dataclasses.fields(ExperimentConfig)
+}
+#: Each range-checked field's (valid, wanted): a test of a value of the
+#: declared type (NaN fails it) and the test in words.
+_RULES = {
+    "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),  # unsigned 64-bit (see `rng`)
+    "balancer": (lambda v: v in BALANCER_NAMES, f"one of {BALANCER_NAMES}"),
+    "scenario": (lambda v: v in SCENARIOS, f"one of {sorted(SCENARIOS)}"),
+    **{key: HYPERPARAMETERS[name][1:] for key, name in _BALANCER_FIELDS.items()},
+    "lr": (lambda v: v > 0, "positive"),
+    "optimizer": (lambda v: v in OPTIMIZERS, f"one of {OPTIMIZERS}"),
+    "iterations": (lambda v: v >= 0, "nonnegative"),
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "log_cadence": (lambda v: v >= 1, ">= 1"),
+    "trunk": (lambda v: len(v) > 0 and min(v) >= 1, "one or more positive layer sizes"),
+    "head_hidden": (lambda v: all(s >= 1 for s in v), "positive layer sizes"),
+    # Text that its config line reads back as (and, for out_dir, a path).
+    **dict.fromkeys(("out_dir", "name"), (
+        lambda v: v == v.strip() and "\n" not in v and "\0" not in v,
+        "a str with no line break or NUL and no blank at either end",
+    )),
 }
 
 
@@ -833,9 +830,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:  # its text may quote the value
             detail = str(exc).encode("ascii", "backslashreplace").decode()
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {detail}") from exc
-    config = ExperimentConfig(**values)
-    config.validate()
-    return config
+    return ExperimentConfig(**values)
 
 
 def config_to_text(config: ExperimentConfig) -> str:
@@ -853,21 +848,9 @@ def config_to_text(config: ExperimentConfig) -> str:
 def result_to_json(result: RunResult) -> str:
     """Structured run summary; deterministic bytes (no wall-clock)."""
     payload = {
-        "balancer": result.config.balancer,
-        "scenario": result.config.scenario,
-        "seed": result.config.seed,
-        "iterations": result.config.iterations,
+        **{key: getattr(result.config, key) for key in ("balancer", "scenario", "seed", "iterations")},
         "composite": result.composite,
         "trace_rows": len(result.trace),
-        "tasks": [
-            {
-                "name": t.name,
-                "kind": t.kind,
-                "group": t.group,
-                "metric": t.metric,
-                "test_loss": t.test_loss,
-            }
-            for t in result.task_results
-        ],
+        "tasks": [vars(t) for t in result.task_results],  # each TaskResult field
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import SplitMix64, derive
-from .textio import fmt
+from .textio import fmt, parse_float, parse_int
 
 TASK_KINDS = ("regression-mse", "binary-bce", "multiclass-ce")
 
@@ -39,6 +39,11 @@ DATA_STREAM_TAG = 0xDA7A
 def is_int(value) -> bool:
     """An integer, numpy's included, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class TaskSpec:
         if self.kind == "multiclass-ce" and self.output_dim < 2:
             raise ValueError("multiclass-ce needs output_dim >= 2")
         scale, value = self.loss_scale, math.nan  # checked as the float kept
-        if isinstance(scale, numbers.Real) and not isinstance(scale, bool):
+        if is_real(scale):
             with contextlib.suppress(OverflowError):  # float(10**400) overflows
                 value = float(scale)
         if not 0 < value < math.inf:
@@ -124,8 +129,8 @@ def data_settings(seed, input_dim, n_samples, specs, relatedness, latent_dim) ->
 
 
 def train_size(n_samples: int) -> int:
-    """Rows in the train split, 80 % of the samples; the rest are the test split."""
-    return int(0.8 * n_samples)
+    """Rows in the train split, 80 % of the samples rounded down; the rest are the test split."""
+    return n_samples * 4 // 5
 
 
 def generate_mtl(
@@ -267,7 +272,7 @@ def _spec_from_text(text: str) -> TaskSpec:
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"malformed task spec {text!r}")
-    return TaskSpec(parts[0], int(parts[1]), float(parts[2]), parts[3])
+    return TaskSpec(parts[0], parse_int(parts[1]), parse_float(parts[2]), parts[3])
 
 
 def specs_to_text(specs) -> str:

@@ -3,10 +3,32 @@
 Floats are written at 17 significant digits, which round-trips every
 float64 exactly; vectors are comma-joined floats. A CSV table is written
 from its declared column list by `table_text`. The one document mtlbal
-reads back, the config file, is parsed by `harness.parse_config`.
+reads back, the config file, is parsed by `harness.parse_config`, its
+numbers by `parse_int` and `parse_float`.
 """
 
 from __future__ import annotations
+
+import re
+
+#: The numbers a config holds, in ASCII; blanks may surround them. int() and
+#: float() alone also take `_` and non-ASCII digits.
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)", re.A | re.I)
+
+
+def parse_int(text: str) -> int:
+    """An int written `[+-]?[0-9]+`; ValueError, as int() words it, otherwise."""
+    if not _INT.fullmatch(text.strip(" \t")):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A float in decimal or exponent form, inf or nan; ValueError, as float() words it, otherwise."""
+    if not _FLOAT.fullmatch(text.strip(" \t")):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def fmt(x) -> str:

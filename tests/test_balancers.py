@@ -1,6 +1,7 @@
 """Balancer oracles: worked examples, invariants, and snapshot fidelity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -597,7 +598,23 @@ class TestMakeBalancer:
         bal = make_balancer("dwema", beta=0.3, mode="multiply", alpha=2.0, learning_rate=1.0)
         assert (bal.beta, bal.temperature, bal.mode) == (0.3, default, "multiply")
         assert make_balancer("dwa").temperature == default
-        with pytest.raises(TypeError, match="gamma"):
+        with pytest.raises(ValueError, match="gamma"):
             make_balancer("ema", gamma=0.5)
         with pytest.raises(ValueError, match="beta"):
             make_balancer("ema", beta=0.0)
+
+    # A value that is not a number fails the range test as a ValueError, not a TypeError.
+    @pytest.mark.parametrize("name, hyper, value", [
+        ("ema", "beta", "x"), ("ema", "beta", None), ("ema", "beta", True), ("ema", "beta", [0.5]),
+        ("dwa", "temperature", "1"), ("uw", "learning_rate", object()), ("gradnorm", "alpha", 1j),
+        ("gradnorm", "alpha", np.array([1.0, 2.0])), ("dwema", "mode", 0.5),
+        ("dwema", "mode", ["divide"]),
+    ])
+    def test_a_value_that_is_not_a_number_is_a_value_error(self, name, hyper, value):
+        wanted = HYPERPARAMETERS[hyper].wanted
+        with pytest.raises(ValueError, match=f"^{hyper} must be {re.escape(wanted)}, got "):
+            make_balancer(name, **{hyper: value})
+
+    def test_numpy_numbers_are_numbers(self):
+        assert make_balancer("ema", beta=np.float32(0.5)).beta == 0.5
+        assert make_balancer("dwa", temperature=np.int64(2)).temperature == 2

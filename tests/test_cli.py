@@ -217,6 +217,39 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr
 
 
+    # int() and float() alone read these: `_` and non-ASCII digits.
+    @pytest.mark.parametrize("setting, detail", [
+        ("seed = 1_0", "'seed': invalid literal for int() with base 10: '1_0'"),
+        ("seed = \u0663", "'seed': invalid literal for int() with base 10: '\\u0663'"),
+        ("trunk = 6_4,\uff13\uff12", "'trunk': invalid literal for int() with base 10: '6_4'"),
+        ("trunk = 64,\uff13\uff12", "'trunk': invalid literal for int() with base 10: '\\uff13\\uff12'"),
+        ("beta = \u0660.\u0665", "'beta': could not convert string to float: '\\u0660.\\u0665'"),
+        ("lr = 1_0e-3", "'lr': could not convert string to float: '1_0e-3'"),
+        ("trunk = 64,\u00a032", "'trunk': invalid literal for int() with base 10: '\\xa032'"),
+        ("tasks = binary-bce:\u0661:1:a", "'tasks': invalid literal for int() with base 10: '\\u0661'"),
+        ("tasks = binary-bce:1:1_0:a", "'tasks': could not convert string to float: '1_0'"),
+    ])
+    def test_numbers_are_ascii_digits_alone(self, tmp_path, capsys, setting, detail):
+        cfg = tmp_path / "bad.cfg"
+        scenario = "" if setting.startswith("tasks") else "scenario = celeb-mini\n"
+        cfg.write_bytes(f"{scenario}n_samples = 300\niterations = 2\n{setting}\n".encode())
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        line = 4 if scenario else 3
+        assert (out, err) == ("", f"config error: line {line}: bad value for {detail}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_nul_in_out_dir_exits_one(self, tmp_path, capsys):
+        # A path cannot hold a NUL: one config error line, not a traceback from mkdir.
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_bytes(FAST_CONFIG.encode() + b"out_dir = a\x00b\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: out_dir must be a str with no line break or NUL and no blank at either "
+            "end, got 'a\\x00b'\n"
+        )
+
+
 class TestCompareCommand:
     def test_writes_table_and_is_byte_identical_across_invocations(self, config_file, tmp_path):
         args = [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import os
 import re
 import signal
@@ -48,7 +49,7 @@ from mtlbal.harness import (
 )
 from mtlbal.metrics import TRACE_COLUMNS, coefficient_spikiness, trace_to_text
 from mtlbal.rng import NORMAL_BLOCK, SplitMix64, derive
-from mtlbal.tasks import TaskSpec, generate_mtl, loss_and_grad
+from mtlbal.tasks import TaskSpec, generate_mtl, loss_and_grad, specs_to_text
 from mtlbal.textio import fmt
 
 # Small, fast settings shared by most tests here.
@@ -94,6 +95,11 @@ sys.stdout.write(trace_to_text(result.trace) + result_to_json(result))
 """
 
 
+#: One list of wrong values, for every field and every argument checked.
+WRONG = [None, True, 1.0, "1", np.int64(1), float("nan"), 10**400, [], object()]
+WRONG_IDS = ["None", "True", "1.0", "str", "np.int64", "nan", "10**400", "list", "object"]
+
+
 def fast_config(**kw):
     merged = {"scenario": "celeb-mini", "balancer": "ema", "seed": 3, **FAST, **kw}
     return ExperimentConfig(**merged)
@@ -125,23 +131,65 @@ class TestConfig:
              "task labels"),
         ]:
             with pytest.raises(ConfigError, match=match):
-                fast_config(**kw).validate()
+                fast_config(**kw)
 
     def test_seed_range_ends_are_valid(self):
         for seed in (0, 2**64 - 1):
-            fast_config(seed=seed).validate()
+            assert fast_config(seed=seed).seed == seed
 
     def test_scenario_xor_tasks(self):
         with pytest.raises(ConfigError, match="exactly one"):
-            ExperimentConfig(scenario=None, tasks=()).validate()
+            ExperimentConfig(scenario=None, tasks=())
         with pytest.raises(ConfigError, match="exactly one"):
-            ExperimentConfig(
-                scenario="celeb-mini", tasks=(TaskSpec("binary-bce", 1, 1.0, "x"),)
-            ).validate()
+            ExperimentConfig(scenario="celeb-mini", tasks=(TaskSpec("binary-bce", 1, 1.0, "x"),))
 
     def test_unknown_scenario(self):
-        with pytest.raises(ConfigError, match="unknown scenario"):
-            ExperimentConfig(scenario="celeb-maxi").validate()
+        message = "scenario must be one of ['celeb-mini', 'va-mini'], got 'celeb-maxi'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(scenario="celeb-maxi")
+
+    TEXT = "a str with no line break or NUL and no blank at either end"
+
+    # Each rule's message, one shape for every field: "{key} must be {wanted}, got {value!a}".
+    @pytest.mark.parametrize("key, value, message", [
+        ("iterations", -1, "iterations must be nonnegative, got -1"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("log_cadence", 0, "log_cadence must be >= 1, got 0"),
+        ("trunk", (), "trunk must be one or more positive layer sizes, got ()"),
+        ("trunk", (8, 0), "trunk must be one or more positive layer sizes, got (8, 0)"),
+        ("head_hidden", (0,), "head_hidden must be positive layer sizes, got (0,)"),
+        ("seed", 2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+        ("lr", float("nan"), "lr must be positive, got nan"),
+        ("optimizer", "rmsprop", "optimizer must be one of ('adam', 'sgd'), got 'rmsprop'"),
+        ("beta", 1.5, "beta must be in (0, 1], got 1.5"),
+        ("dwema_mode", "caf\u00e9", "dwema_mode must be 'divide' or 'multiply', got 'caf\\xe9'"),
+        # Text that would not read back from its config line, or a path with a NUL.
+        ("name", " a", f"name must be {TEXT}, got ' a'"),
+        ("name", "a\u2028", f"name must be {TEXT}, got 'a\\u2028'"),
+        ("out_dir", "a\nb", f"out_dir must be {TEXT}, got 'a\\nb'"),
+        ("out_dir", "a\0b", f"out_dir must be {TEXT}, got 'a\\x00b'"),
+    ])
+    def test_each_rule_words_its_message_in_one_shape(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            fast_config(**{key: value})
+        assert str(info.value) == message
+
+    def test_every_range_checked_field_has_one_rule(self):
+        rules = mtlbal.harness._RULES
+        assert list(rules) == [
+            "seed", "balancer", "scenario", "beta", "temperature", "alpha", "balancer_lr",
+            "dwema_mode", "lr", "optimizer", "iterations", "batch_size", "log_cadence", "trunk",
+            "head_hidden", "out_dir", "name",
+        ]
+        for key, hyper in mtlbal.harness._BALANCER_FIELDS.items():
+            assert rules[key] == HYPERPARAMETERS[hyper][1:]  # the balancers' own pair
+
+    def test_a_replaced_field_is_checked(self):
+        cfg = fast_config()
+        for key, value in [("seed", -1), ("beta", 0.0), ("batch_size", 0), ("n_samples", 79),
+                           ("trunk", (10**6, 10**6))]:
+            with pytest.raises(ConfigError, match=key if key != "trunk" else "GiB cap"):
+                dataclasses.replace(cfg, **{key: value})
 
     def test_builtin_scenarios_shape(self):
         celeb = SCENARIOS["celeb-mini"]
@@ -199,18 +247,20 @@ class TestConfig:
     @example(specs=[("regression-mse", 2, 3.0, "a\x0cb"), ("binary-bce", 1, 1.0, "")])
     @example(specs=[("multiclass-ce", 3, 0.5, "a\u2028b")])
     def test_every_task_spec_tuple_round_trips(self, specs):
-        """Every tuple of TaskSpecs that constructs, and that `validate`
+        """Every tuple of TaskSpecs that constructs, and that a config
         accepts, parses back from its `config_to_text`."""
         try:
             tasks = tuple(TaskSpec(*spec) for spec in specs)
         except ValueError:
             return
-        cfg = fast_config(scenario=None, tasks=tasks)
         try:
-            cfg.validate()
+            cfg = fast_config(scenario=None, tasks=tasks)
         except ConfigError:  # duplicate task labels
-            with pytest.raises(ConfigError):
-                parse_config(config_to_text(cfg))
+            text = config_to_text(fast_config()).replace(
+                "scenario = celeb-mini", f"tasks = {specs_to_text(tasks)}"
+            )
+            with pytest.raises(ConfigError, match="task labels must be unique"):
+                parse_config(text)
             return
         assert parse_config(config_to_text(cfg)) == cfg
 
@@ -247,25 +297,23 @@ class TestConfig:
         generate_mtl(**parsed.data_settings())
         network.init_params(parsed.seed, parsed.input_dim, parsed.trunk, parsed.head_hidden, specs)
 
-    #: A value of any kind a caller might put in a numeric field.
+    #: A value of any kind a caller might put in a field.
     ANY_VALUE = st.one_of(
-        st.integers(), st.floats(), st.booleans(), st.text(max_size=3),
+        st.sampled_from(WRONG), st.integers(), st.floats(), st.booleans(), st.text(max_size=3),
         st.integers(-(2**63), 2**63 - 1).map(np.int64),
     )
-    #: The config's int and float fields, its size tuples and a task's width.
-    TYPED = [
-        *(f.name for f in dataclasses.fields(ExperimentConfig)
-          if f.type.removesuffix(" | None") in ("int", "float")),
-        "trunk", "head_hidden", "output_dim",
-    ]
+    #: Every config field and a task's width.
+    FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["output_dim"]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_a_field_of_any_type_is_rejected_or_round_trips(self, data):
-        keys = data.draw(st.lists(st.sampled_from(self.TYPED), min_size=1, max_size=3, unique=True))
+        """A config is made, and then reads back from its text, or it is a
+        ConfigError; no other exception escapes."""
+        keys = data.draw(st.lists(st.sampled_from(self.FIELDS), min_size=1, max_size=3, unique=True))
         values = {
-            key: tuple(data.draw(st.lists(self.ANY_VALUE, min_size=1, max_size=2)))
-            if key in ("trunk", "head_hidden") else data.draw(self.ANY_VALUE)
+            key: data.draw(st.one_of(self.ANY_VALUE, st.lists(self.ANY_VALUE, max_size=2).map(tuple)))
+            if key in ("tasks", "trunk", "head_hidden") else data.draw(self.ANY_VALUE)
             for key in keys
         }
         if "output_dim" in values:
@@ -275,10 +323,20 @@ class TestConfig:
                 assert "output_dim" in str(exc)
                 return
             values.update(scenario=None, tasks=(spec, TaskSpec("binary-bce")))
-        cfg = fast_config(**values)
         try:
-            cfg.validate()
+            cfg = fast_config(**values)
         except ConfigError:
+            return
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("key", FIELDS[:-1])
+    @pytest.mark.parametrize("value", WRONG, ids=WRONG_IDS)
+    def test_each_wrong_value_in_each_field_is_rejected_or_round_trips(self, key, value):
+        try:
+            cfg = fast_config(**{key: value})
+        except ConfigError as exc:
+            # The field's own rule, or a rule that reads it: the cap or scenario xor tasks.
+            assert re.match(f"{key} must be |a run would hold|exactly one of 'scenario'", str(exc)), exc
             return
         assert parse_config(config_to_text(cfg)) == cfg
 
@@ -289,7 +347,7 @@ class TestConfig:
     ])
     def test_a_value_of_the_wrong_type_is_a_config_error_naming_its_field(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be "):
-            fast_config(**{key: value}).validate()
+            fast_config(**{key: value})
 
     def test_a_task_width_must_be_an_integer(self):
         for width in (3.5, True, "3"):
@@ -297,12 +355,43 @@ class TestConfig:
                 TaskSpec("multiclass-ce", width)
 
     def test_numpy_integers_are_read_as_ints(self):
-        # A numpy integer's products would overflow in the memory estimate.
-        cfg = fast_config(n_samples=np.int64(2**62), trunk=(np.int64(8),), seed=np.uint64(7))
+        cfg = fast_config(n_samples=np.int64(800), trunk=(np.int64(8),), seed=np.uint64(7))
         assert (type(cfg.n_samples), type(cfg.trunk[0]), type(cfg.seed)) == (int, int, int)
+        # A numpy integer's products would overflow in the memory estimate.
         with pytest.raises(ConfigError, match="GiB cap"):
-            cfg.validate()
+            fast_config(n_samples=np.int64(2**62), trunk=(np.int64(8),), seed=np.uint64(7))
         assert fast_config(lr=1).lr == 1.0 and type(fast_config(lr=1).lr) is float
+
+    def test_numbers_read_as_they_did_in_ascii(self):
+        for text, value in [("1e400", math.inf), ("+1.5E-3", 0.0015), (".5", 0.5), ("5.", 5.0),
+                            ("Infinity", math.inf), ("64", 64.0)]:
+            assert parse_config(f"scenario = celeb-mini\nlr = {text}\n").lr == value
+        assert mtlbal.textio.parse_float("-inf") == -math.inf
+        assert math.isnan(mtlbal.textio.parse_float("nan"))
+        assert parse_config("scenario = celeb-mini\ntrunk = 64, 32,\nseed = +7\n").trunk == (64, 32)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(max_size=8), st.text("0123456789+-._eEinfatyINFATY \t", max_size=8)),
+           x=st.floats())
+    def test_number_grammar_is_float_and_int_in_ascii(self, text, x):
+        """What the grammar reads, float() and int() read alike; all it
+        rejects is text they reject or text with `_` or a non-ASCII character.
+        Every float reads back from `fmt`."""
+        textio = mtlbal.textio
+        assert textio.parse_float(fmt(x)) == x or math.isnan(x)
+        for parse, builtin in ((textio.parse_float, float), (textio.parse_int, int)):
+            try:
+                got = parse(text)
+            except ValueError as exc:
+                assert str(exc).endswith(repr(text))
+                try:
+                    builtin(text)
+                except ValueError:
+                    continue
+                assert "_" in text or not text.isascii() or text.strip(" \t") != text.strip()
+                continue
+            assert text.isascii() and "_" not in text
+            assert got == builtin(text) or math.isnan(got)
 
     def test_parse_comments_and_blanks(self):
         cfg = parse_config("# comment\n\nscenario = va-mini\nbalancer = dwa\n")
@@ -317,13 +406,14 @@ NARROW = dict(scenario=None, tasks=(TaskSpec("regression-mse", 1, 1.0, "r"),),
 
 
 class TestMemoryCap:
-    """`validate` refuses a config whose estimated bytes pass MEMORY_CAP and
-    names the largest term; it reads the config only and allocates nothing."""
+    """A config whose estimated bytes pass MEMORY_CAP is a ConfigError that
+    names the largest term; the check reads the config only and allocates
+    nothing."""
 
     @staticmethod
-    def validates(config) -> bool:
+    def validates(**fields) -> bool:
         try:
-            config.validate()
+            ExperimentConfig(**fields)
         except ConfigError as exc:
             assert "GiB cap" in str(exc)
             return False
@@ -336,26 +426,23 @@ class TestMemoryCap:
         ("activations", dict(scenario="celeb-mini"), lambda v: dict(batch_size=v)),
     ])
     def test_each_term_at_and_beyond_the_cap(self, term, base, field):
-        def config(v):
-            return ExperimentConfig(**base, **field(v))
-
         lo, hi = 10, 2**50  # the largest size that validates lies in [lo, hi)
-        assert self.validates(config(lo)) and not self.validates(config(hi))
+        assert self.validates(**base, **field(lo)) and not self.validates(**base, **field(hi))
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if self.validates(config(mid)) else (lo, mid)
-        at, beyond = config(lo).memory_estimate(), config(hi).memory_estimate()
-        assert sum(at.values()) <= MEMORY_CAP < sum(beyond.values())
-        assert max(at, key=at.get) == max(beyond, key=beyond.get) == term
+            lo, hi = (mid, hi) if self.validates(**base, **field(mid)) else (lo, mid)
+        at = ExperimentConfig(**base, **field(lo)).memory_estimate()
+        assert sum(at.values()) <= MEMORY_CAP and max(at, key=at.get) == term
+        # Beyond the cap there is no config, and the error names the largest term.
         with pytest.raises(ConfigError, match=f"GiB cap; the largest term is the {term} "):
-            config(hi).validate()
+            ExperimentConfig(**base, **field(hi))
 
     def test_estimate_allocates_nothing(self):
         tracemalloc.start()
         try:
             for kw in (dict(trunk=(200000, 200000)), dict(n_samples=2 * 10**9),
                        dict(batch_size=10**8, n_samples=1000)):
-                assert not self.validates(ExperimentConfig(scenario="celeb-mini", **kw))
+                assert not self.validates(scenario="celeb-mini", **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,11 +515,11 @@ class TestMemoryCap:
                      f"{terms['batch draws']:.2f}", f"{terms['activations']:.1f}"]
             sums.append((f"{sum(terms.values()):.1f}", parts))
             lo, hi = 80, 2**40  # the largest n_samples that validates lies in [lo, hi)
-            assert self.validates(ExperimentConfig(scenario=name, n_samples=lo))
-            assert not self.validates(ExperimentConfig(scenario=name, n_samples=hi))
+            assert self.validates(scenario=name, n_samples=lo)
+            assert not self.validates(scenario=name, n_samples=hi)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                ok = self.validates(ExperimentConfig(scenario=name, n_samples=mid))
+                ok = self.validates(scenario=name, n_samples=mid)
                 lo, hi = (mid, hi) if ok else (lo, mid)
             largest.append(lo)
         (celeb, (p, d, b, a)), (va, va_parts) = sums
@@ -474,7 +561,7 @@ class TestBalancerRulesHaveOneHome:
                     1e300, float("inf"), float("-inf")]
         for value in grid:
             try:
-                fast_config(**{key: value}).validate()
+                fast_config(**{key: value})
                 config_rejects = False
             except ConfigError as exc:
                 assert key in str(exc)
@@ -490,7 +577,7 @@ class TestBalancerRulesHaveOneHome:
     @pytest.mark.parametrize("key", sorted(mtlbal.harness._BALANCER_FIELDS))
     def test_config_defaults_are_the_declared_defaults(self, key):
         hyper = mtlbal.harness._BALANCER_FIELDS[key]
-        assert getattr(ExperimentConfig(), key) == HYPERPARAMETERS[hyper].default
+        assert getattr(ExperimentConfig(scenario="celeb-mini"), key) == HYPERPARAMETERS[hyper].default
 
 
 class TestDataRulesHaveOneHome:
@@ -498,10 +585,11 @@ class TestDataRulesHaveOneHome:
     its data settings resolve latent_dim."""
 
     @staticmethod
-    def generation_args(cfg):
-        return dict(seed=cfg.seed, input_dim=cfg.input_dim, n_samples=cfg.n_samples,
-                    specs=cfg.resolved_tasks(), relatedness=cfg.relatedness,
-                    latent_dim=cfg.latent_dim)
+    def generation_args(**fields):
+        cfg = {**dataclasses.asdict(fast_config()), **fields}
+        return dict(seed=cfg["seed"], input_dim=cfg["input_dim"], n_samples=cfg["n_samples"],
+                    specs=SCENARIOS[cfg["scenario"]], relatedness=cfg["relatedness"],
+                    latent_dim=cfg["latent_dim"])
 
     @pytest.mark.parametrize("key, grid", [
         ("input_dim", [1, 2]),
@@ -512,15 +600,14 @@ class TestDataRulesHaveOneHome:
     ])
     def test_config_rejects_exactly_what_generation_rejects(self, key, grid):
         for value in grid:
-            cfg = fast_config(**{key: value})
             try:
-                cfg.validate()
+                fast_config(**{key: value})
                 config_rejects = False
             except ConfigError as exc:
                 assert key in str(exc), (key, value)
                 config_rejects = True
             try:
-                generate_mtl(**self.generation_args(cfg))
+                generate_mtl(**self.generation_args(**{key: value}))
                 generation_rejects = False
             except ValueError as exc:
                 assert key in str(exc), (key, value)
@@ -531,7 +618,7 @@ class TestDataRulesHaveOneHome:
         cfg = fast_config(iterations=0)
         assert cfg.latent_dim is None
         assert cfg.data_settings()["latent_dim"] == cfg.input_dim
-        data = generate_mtl(**{**self.generation_args(cfg), "latent_dim": cfg.input_dim})
+        data = generate_mtl(**self.generation_args(latent_dim=cfg.input_dim))
         resolved = generate_mtl(**cfg.data_settings())
         for got, want in zip([data.inputs, *data.targets], [resolved.inputs, *resolved.targets]):
             assert np.array_equal(got, want)
@@ -749,9 +836,17 @@ class TestSingleTask:
         assert a.composite == b.composite
         assert trace_to_text(a.trace) == trace_to_text(b.trace)
 
-    def test_task_index_validated(self):
-        with pytest.raises(ConfigError, match="out of range"):
-            run_single_task(fast_config(), 8)
+    # Only an integer is an index: True is not task 1, and 1.0 or "1" is no TypeError.
+    @pytest.mark.parametrize("index", [8, -1, 1.0, "1", True, None, np.float64(1.0)],
+                             ids=["8", "-1", "float", "str", "True", "None", "np.float64"])
+    def test_task_index_validated(self, index):
+        message = f"task index {ascii(index)} out of range for 8 tasks"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_single_task(fast_config(), index)
+
+    def test_numpy_integer_index_is_an_index(self):
+        cfg = fast_config(iterations=2)
+        assert run_single_task(cfg, np.int64(1)).task_results == run_single_task(cfg, 1).task_results
 
     def test_deterministic(self):
         a = run_single_task(fast_config(), 2)
@@ -813,10 +908,38 @@ class TestCompare:
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             compare([fast_config()], [1, 2, 1], normalized_spread=False)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
-    def test_seed_out_of_range_rejected(self, seed):
-        with pytest.raises(ConfigError, match="seed must be in"):
+    # Each seed is checked by the config rule, as the seed's config is made.
+    @pytest.mark.parametrize("seed, wanted", [
+        (-1, "in [0, 2**64)"), (2**64, "in [0, 2**64)"), (1.5, "int"), (True, "int"), ("1", "int"),
+    ])
+    def test_seed_out_of_range_rejected(self, seed, wanted):
+        message = f"seed must be {wanted}, got {ascii(seed)}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             compare([fast_config()], [2, seed], normalized_spread=False)
+
+    def test_numpy_integer_seeds_are_seeds(self):
+        cfg = fast_config(iterations=2)
+        report = compare([cfg], np.array([4, 5]), normalized_spread=False, jobs=1)
+        assert [type(r.seed) for r in report.rows] == [int, int]
+        serial = compare([cfg], [4, 5], normalized_spread=False, jobs=1)
+        assert report.to_table_text() == serial.to_table_text()
+
+    # Not a list, or a list of the wrong items: "12" is not the seeds "1" and "2".
+    @pytest.mark.parametrize("configs, seeds, message", [
+        ([0], None, "seeds must be an iterable other than a str, got None"),
+        ([0], "12", "seeds must be an iterable other than a str, got '12'"),
+        ([0], b"12", "seeds must be an iterable other than a str, got b'12'"),
+        ([0], 1, "seeds must be an iterable other than a str, got 1"),
+        ([None], [1], "configs must hold ExperimentConfig items, got None"),
+        ("ab", [1], "configs must be an iterable other than a str, got 'ab'"),
+        (None, [1], "configs must be an iterable other than a str, got None"),
+        ([0, "ema"], [1], "configs must hold ExperimentConfig items, got 'ema'"),
+    ])
+    def test_lists_that_are_not_lists_rejected(self, configs, seeds, message):
+        if isinstance(configs, list):  # 0 stands for a valid config
+            configs = [fast_config() if c == 0 else c for c in configs]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            compare(configs, seeds, normalized_spread=False, jobs=1)
 
     @pytest.mark.parametrize("jobs", [0, -1, -2, 1.5, "2", True])
     def test_bad_jobs_rejected(self, jobs):
@@ -1122,6 +1245,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             sweep(fast_config(balancer="ema"), "beta", values, [1], jobs=1)
 
+    @pytest.mark.parametrize("values, message", [
+        (None, "values must be an iterable other than a str, got None"),
+        ("0.5", "values must be an iterable other than a str, got '0.5'"),
+        (0.5, "values must be an iterable other than a str, got 0.5"),
+    ])
+    def test_values_that_are_not_a_list_rejected(self, values, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            sweep(fast_config(balancer="ema"), "beta", values, [1], jobs=1)
+        with pytest.raises(ConfigError, match="^seeds must be an iterable"):
+            sweep(fast_config(balancer="ema"), "beta", [0.5], None, jobs=1)
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="parameter"):
             sweep(fast_config(), "warp", [1.0], [1])
@@ -1242,13 +1376,13 @@ class TestReadme:
         train = mtlbal.tasks.train_size(100)
         per_task = int(re.search(r"at least (\d+) per task", readme).group(1))
         assert f"({train}/{100 - train} train/test split), at least {per_task} per task" in readme
-        fast_config(n_samples=per_task * len(celeb)).validate()
+        fast_config(n_samples=per_task * len(celeb))
         with pytest.raises(ConfigError, match="n_samples"):
-            fast_config(n_samples=per_task * len(celeb) - 1).validate()
+            fast_config(n_samples=per_task * len(celeb) - 1)
         assert "seed in [0, 2**64)" in readme
-        fast_config(seed=2**64 - 1).validate()
+        fast_config(seed=2**64 - 1)
         with pytest.raises(ConfigError, match="seed"):
-            fast_config(seed=2**64).validate()
+            fast_config(seed=2**64)
         assert "17 significant digits (`%.17g`)" in readme and fmt(1 / 3) == f"{1 / 3:.17g}"
 
     def test_standalone_balancer_example_gives_its_stated_total(self):
